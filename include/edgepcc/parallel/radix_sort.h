@@ -1,11 +1,21 @@
 /**
  * @file
- * LSD radix sort for 64-bit keys with a 32-bit payload.
+ * Stable parallel LSD radix sort for 64-bit keys with a 32-bit
+ * payload.
  *
  * This is the host-side equivalent of the GPU radix sort the paper
  * uses to order points by Morton code. Keys up to `key_bits` wide are
- * sorted in 8-bit digits; the payload is typically the original point
- * index.
+ * sorted in ceil(key_bits / 11) passes of equal digits of at most
+ * 11 bits (30-bit Morton codes: three 10-bit passes); the payload is
+ * typically the original point index.
+ *
+ * The keys split into fixed contiguous parts of 2^15 keys, which
+ * pool threads claim one at a time. Every pass builds one histogram
+ * per part, scans the offsets bucket-major then part-minor, and lets
+ * each part scatter its keys in input order. Equal keys therefore keep their
+ * input order, and since a stable sort has exactly one correct
+ * output, the result is the same at every pool size. Safe to call
+ * from inside a pool task.
  */
 
 #ifndef EDGEPCC_PARALLEL_RADIX_SORT_H
@@ -24,31 +34,28 @@ struct KeyIndex {
 };
 
 /**
- * Stable LSD radix sort of `pairs` by key, ascending.
+ * Stable LSD radix sort of `pairs` by key, ascending (an AoS
+ * wrapper over radixSortKeysValues).
  *
  * @param pairs    the data to sort in place.
- * @param key_bits number of significant low bits in the keys; digits
- *                 above it are skipped. Must be in [1, 64].
+ * @param key_bits number of significant low bits in the keys; bits
+ *                 above it are ignored. Must be in [1, 64].
  */
 void radixSortPairs(std::vector<KeyIndex> &pairs, int key_bits = 64);
-
-/** Stable LSD radix sort of raw 64-bit keys, ascending. */
-void radixSortKeys(std::vector<std::uint64_t> &keys, int key_bits = 64);
 
 /**
  * Stable LSD radix sort of parallel SoA arrays: `keys[i]` travels
  * with `values[i]`. This is the hot-path variant (the Morton order
  * stage sorts codes and the permutation directly, with no KeyIndex
- * AoS staging): histograms for every pass are built in one sweep
- * over the keys, digit extraction in the scatter is SIMD-dispatched
- * (platform/simd.h), and scratch comes from the bound FrameArena
- * (platform/arena.h) when one is active — zero heap traffic in
- * steady state — falling back to heap vectors otherwise.
+ * AoS staging). Scratch keys, payloads and histograms come from the
+ * bound FrameArena (platform/arena.h) when one is active — zero heap
+ * traffic in steady state — and from heap vectors otherwise.
  *
  * @param keys     n 64-bit keys, sorted ascending in place.
  * @param values   n 32-bit payloads, permuted alongside the keys.
  * @param n        element count.
- * @param key_bits significant low key bits, in [1, 64].
+ * @param key_bits significant low key bits, in [1, 64]; bits above
+ *                 it are ignored.
  */
 void radixSortKeysValues(std::uint64_t *keys,
                          std::uint32_t *values, std::size_t n,

@@ -1,5 +1,6 @@
 #include "edgepcc/common/work_counters.h"
 
+#include <algorithm>
 #include <chrono>
 
 namespace edgepcc {
@@ -67,6 +68,11 @@ WorkRecorder::beginStage(const std::string &name)
 {
     if (stage_open_)
         endStage();
+    // Grow here, not in endStage(): endStage() runs in ScopedStage's
+    // destructor, where a bad_alloc would call std::terminate.
+    if (profile_.stages.size() == profile_.stages.capacity())
+        profile_.stages.reserve(
+            std::max<std::size_t>(8, 2 * profile_.stages.capacity()));
     open_stage_ = StageProfile{};
     open_stage_.name = name;
     open_stage_start_ = nowSeconds();

@@ -6,6 +6,7 @@
 #include "edgepcc/common/trace.h"
 #include "edgepcc/entropy/bitstream.h"
 #include "edgepcc/morton/morton.h"
+#include "edgepcc/parallel/parallel_for.h"
 
 namespace edgepcc {
 
@@ -35,14 +36,17 @@ candidateWindow(std::size_t p_block, std::size_t p_blocks,
     return w;
 }
 
-/** Paper Eq. 2 over the first `count` point pairs of two blocks. */
+/** Points scored between two early-exit checks. */
+constexpr std::size_t kExitStride = 8;
+
+/** Paper Eq. 2 over point pairs [lo, hi) of two blocks. */
 std::uint64_t
 blockDiffSquared(const VoxelCloud &p, std::size_t p_begin,
                  const VoxelCloud &i, std::size_t i_begin,
-                 std::size_t count)
+                 std::size_t lo, std::size_t hi)
 {
     std::uint64_t sum = 0;
-    for (std::size_t j = 0; j < count; ++j) {
+    for (std::size_t j = lo; j < hi; ++j) {
         const std::int32_t dr =
             static_cast<std::int32_t>(p.r()[p_begin + j]) -
             static_cast<std::int32_t>(i.r()[i_begin + j]);
@@ -57,6 +61,26 @@ blockDiffSquared(const VoxelCloud &p, std::size_t p_begin,
     }
     return sum;
 }
+
+/** P-blocks per claimed group (~100 candidates each). */
+constexpr std::size_t kMatchGroupBlocks = 64;
+
+/** Match-stage counts; one per claimed group, summed in order. */
+struct MatchTally {
+    std::uint64_t comparisons = 0;
+    std::uint32_t reused_blocks = 0;
+    std::uint64_t reused_points = 0;
+    std::uint64_t delta_points = 0;
+
+    MatchTally
+    operator+(const MatchTally &other) const
+    {
+        return MatchTally{comparisons + other.comparisons,
+                          reused_blocks + other.reused_blocks,
+                          reused_points + other.reused_points,
+                          delta_points + other.delta_points};
+    }
+};
 
 constexpr const char kMagic[3] = {'I', 'N', 'T'};
 
@@ -97,12 +121,14 @@ encodeInterAttr(const VoxelCloud &p_sorted,
     std::vector<std::uint32_t> best_offset(p_blocks, 0);
     std::vector<std::uint8_t> reuse_flag(p_blocks, 0);
 
-    std::uint64_t total_comparisons = 0;
-    std::uint64_t reused_points = 0;
-
+    MatchTally tally;
     {
         TracedStage stage(recorder, "inter.match");
-        for (std::size_t pb = 0; pb < p_blocks; ++pb) {
+        // Each P-block's argmin is independent: groups of blocks are
+        // claimed by pool threads, each writing only its own blocks'
+        // slots and its own tally. The early exit makes block costs
+        // uneven, so groups are claimed rather than split evenly.
+        const auto match_block = [&](std::size_t pb) {
             const std::size_t p_begin = p_layout.begin(
                 static_cast<std::uint32_t>(pb));
             const std::size_t p_end = p_layout.end(
@@ -112,6 +138,7 @@ encodeInterAttr(const VoxelCloud &p_sorted,
             const Window window = candidateWindow(
                 pb, p_blocks, i_blocks, config.candidate_window);
 
+            MatchTally block;
             std::uint64_t best_diff = 0;
             std::uint32_t best = 0;
             std::size_t best_km = 1;
@@ -125,13 +152,28 @@ encodeInterAttr(const VoxelCloud &p_sorted,
                     std::min(kp, i_end - i_begin);
                 if (km == 0)
                     continue;
-                const std::uint64_t diff = blockDiffSquared(
-                    p_sorted, p_begin, i_reference, i_begin, km);
-                total_comparisons += km;
+                // The model bills the full score of every candidate,
+                // early exit or not.
+                block.comparisons += km;
                 // Normalize per point so short tail blocks compare
-                // fairly against full-size ones.
-                if (!have_best ||
-                    diff * best_km < best_diff * km) {
+                // fairly against full-size ones: the candidate wins
+                // iff diff * best_km < best_diff * km. A partial sum
+                // only grows, so once it reaches that bound the
+                // candidate cannot win and scoring stops; the argmin
+                // and its tie order are those of the full scan.
+                const std::uint64_t bound = best_diff * km;
+                std::uint64_t diff = 0;
+                bool beaten = false;
+                for (std::size_t lo = 0; lo < km; lo += kExitStride) {
+                    diff += blockDiffSquared(
+                        p_sorted, p_begin, i_reference, i_begin, lo,
+                        std::min(km, lo + kExitStride));
+                    if (have_best && diff * best_km >= bound) {
+                        beaten = true;
+                        break;
+                    }
+                }
+                if (!beaten) {
                     best_diff = diff;
                     best = static_cast<std::uint32_t>(c);
                     best_km = km;
@@ -146,12 +188,30 @@ encodeInterAttr(const VoxelCloud &p_sorted,
                 static_cast<double>(best_km);
             if (per_point <= config.reuse_threshold) {
                 reuse_flag[pb] = 1;
-                ++result.stats.reused_blocks;
-                reused_points += kp;
+                block.reused_blocks = 1;
+                block.reused_points = kp;
             } else {
-                result.stats.delta_points += kp;
+                block.delta_points = kp;
             }
-        }
+            return block;
+        };
+        const std::size_t groups =
+            (p_blocks + kMatchGroupBlocks - 1) / kMatchGroupBlocks;
+        std::vector<MatchTally> group_tally(groups);
+        parallelForClaimed(groups, [&](std::size_t g) {
+            const std::size_t lo = g * kMatchGroupBlocks;
+            const std::size_t hi =
+                std::min(p_blocks, lo + kMatchGroupBlocks);
+            MatchTally sum;
+            for (std::size_t pb = lo; pb < hi; ++pb)
+                sum = sum + match_block(pb);
+            group_tally[g] = sum;
+        });
+        for (const MatchTally &group : group_tally)
+            tally = tally + group;
+        result.stats.reused_blocks = tally.reused_blocks;
+        result.stats.delta_points = tally.delta_points;
+        const std::uint64_t total_comparisons = tally.comparisons;
 
         recordKernel(
             recorder,
@@ -237,9 +297,9 @@ encodeInterAttr(const VoxelCloud &p_sorted,
                      KernelWork{.name = "bm.reuse_copy",
                                 .resource = ExecResource::kGpu,
                                 .invocations = 1,
-                                .items = reused_points,
-                                .ops = reused_points * 2,
-                                .bytes = reused_points * 6});
+                                .items = tally.reused_points,
+                                .ops = tally.reused_points * 2,
+                                .bytes = tally.reused_points * 6});
     }
 
     // Encode the deltas as "new attributes" (paper Sec. VI-B).

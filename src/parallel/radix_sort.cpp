@@ -1,119 +1,35 @@
 #include "edgepcc/parallel/radix_sort.h"
 
 #include <algorithm>
-#include <array>
 #include <cassert>
 #include <utility>
 
+#include "edgepcc/parallel/parallel_for.h"
 #include "edgepcc/platform/arena.h"
-#include "edgepcc/platform/simd.h"
-
-#if EDGEPCC_SIMD_X86
-#include <immintrin.h>
-#endif
 
 namespace edgepcc {
 
 namespace {
 
-constexpr int kDigitBits = 8;
-constexpr int kBuckets = 1 << kDigitBits;
-constexpr int kMaxPasses = 64 / kDigitBits;
+/** Widest digit: 2^11 buckets per part keep every part's histogram
+ *  and scatter cursors resident in L1/L2. */
+constexpr int kMaxDigitBits = 11;
 
-template <typename T, typename KeyOf>
-void
-radixSortImpl(std::vector<T> &data, int key_bits, const KeyOf &key_of)
+/** Keys per part. Parts are claimed by pool threads one at a time,
+ *  so a pass waits on at most one part of a descheduled thread; at
+ *  or below this many keys one part sorts everything. */
+constexpr std::size_t kPartKeys = std::size_t{1} << 15;
+
+/** `count` Ts of scratch: arena-backed inside a frame (zero heap
+ *  traffic in steady state), a heap vector otherwise. */
+template <typename T>
+T *
+scratchArray(FrameArena *arena, std::vector<T> &heap, std::size_t count)
 {
-    assert(key_bits >= 1 && key_bits <= 64);
-    if (data.size() < 2)
-        return;
-
-    std::vector<T> scratch(data.size());
-    const int passes = (key_bits + kDigitBits - 1) / kDigitBits;
-
-    for (int pass = 0; pass < passes; ++pass) {
-        const int shift = pass * kDigitBits;
-        std::array<std::size_t, kBuckets> counts{};
-        for (const T &item : data)
-            ++counts[(key_of(item) >> shift) & (kBuckets - 1)];
-
-        // Skip passes where every key shares the digit.
-        if (counts[(key_of(data[0]) >> shift) & (kBuckets - 1)] ==
-            data.size()) {
-            continue;
-        }
-
-        std::size_t offset = 0;
-        for (int bucket = 0; bucket < kBuckets; ++bucket) {
-            const std::size_t count = counts[bucket];
-            counts[bucket] = offset;
-            offset += count;
-        }
-        for (const T &item : data) {
-            const std::size_t bucket =
-                (key_of(item) >> shift) & (kBuckets - 1);
-            scratch[counts[bucket]++] = item;
-        }
-        data.swap(scratch);
-    }
-}
-
-#if EDGEPCC_SIMD_X86
-
-/** Digits of four consecutive keys for one pass, extracted with one
- *  vector shift+mask instead of four scalar chains. */
-__attribute__((target("avx2"))) inline void
-extractDigitsAvx2(const std::uint64_t *keys, int shift,
-                  std::uint64_t *digits)
-{
-    const __m256i v = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i *>(keys));
-    const __m256i d = _mm256_and_si256(
-        _mm256_srli_epi64(v, shift),
-        _mm256_set1_epi64x(kBuckets - 1));
-    _mm256_storeu_si256(reinterpret_cast<__m256i *>(digits), d);
-}
-
-__attribute__((target("avx2"))) void
-scatterPassAvx2(const std::uint64_t *src_k,
-                const std::uint32_t *src_v, std::uint64_t *dst_k,
-                std::uint32_t *dst_v, std::size_t n, int shift,
-                std::size_t *offsets)
-{
-    std::size_t i = 0;
-    alignas(32) std::uint64_t digits[4];
-    for (; i + 4 <= n; i += 4) {
-        extractDigitsAvx2(src_k + i, shift, digits);
-        for (int k = 0; k < 4; ++k) {
-            const std::size_t pos = offsets[digits[k]]++;
-            dst_k[pos] = src_k[i + static_cast<std::size_t>(k)];
-            dst_v[pos] = src_v[i + static_cast<std::size_t>(k)];
-        }
-    }
-    for (; i < n; ++i) {
-        const std::size_t bucket =
-            (src_k[i] >> shift) & (kBuckets - 1);
-        const std::size_t pos = offsets[bucket]++;
-        dst_k[pos] = src_k[i];
-        dst_v[pos] = src_v[i];
-    }
-}
-
-#endif  // EDGEPCC_SIMD_X86
-
-void
-scatterPassScalar(const std::uint64_t *src_k,
-                  const std::uint32_t *src_v, std::uint64_t *dst_k,
-                  std::uint32_t *dst_v, std::size_t n, int shift,
-                  std::size_t *offsets)
-{
-    for (std::size_t i = 0; i < n; ++i) {
-        const std::size_t bucket =
-            (src_k[i] >> shift) & (kBuckets - 1);
-        const std::size_t pos = offsets[bucket]++;
-        dst_k[pos] = src_k[i];
-        dst_v[pos] = src_v[i];
-    }
+    if (arena != nullptr)
+        return arena->allocateArray<T>(count);
+    heap.resize(count);
+    return heap.data();
 }
 
 }  // namespace
@@ -121,15 +37,16 @@ scatterPassScalar(const std::uint64_t *src_k,
 void
 radixSortPairs(std::vector<KeyIndex> &pairs, int key_bits)
 {
-    radixSortImpl(pairs, key_bits,
-                  [](const KeyIndex &pair) { return pair.key; });
-}
-
-void
-radixSortKeys(std::vector<std::uint64_t> &keys, int key_bits)
-{
-    radixSortImpl(keys, key_bits,
-                  [](std::uint64_t key) { return key; });
+    const std::size_t n = pairs.size();
+    std::vector<std::uint64_t> keys(n);
+    std::vector<std::uint32_t> values(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        keys[i] = pairs[i].key;
+        values[i] = pairs[i].index;
+    }
+    radixSortKeysValues(keys.data(), values.data(), n, key_bits);
+    for (std::size_t i = 0; i < n; ++i)
+        pairs[i] = KeyIndex{keys[i], values[i]};
 }
 
 void
@@ -139,85 +56,106 @@ radixSortKeysValues(std::uint64_t *keys, std::uint32_t *values,
     assert(key_bits >= 1 && key_bits <= 64);
     if (n < 2)
         return;
-    const int passes = (key_bits + kDigitBits - 1) / kDigitBits;
+    // Fewest passes of at most kMaxDigitBits, then the narrowest
+    // equal digits that cover key_bits: 30-bit Morton codes take
+    // three 10-bit passes.
+    const int passes = (key_bits + kMaxDigitBits - 1) / kMaxDigitBits;
+    const int digit_bits = (key_bits + passes - 1) / passes;
+    const std::size_t buckets = std::size_t{1} << digit_bits;
 
-    // Scratch: arena-backed inside a frame, heap otherwise.
+    // Part p owns input positions [bound(p), bound(p + 1)) in every
+    // pass. The parts depend on n only, never on the pool size.
+    const std::size_t parts = (n + kPartKeys - 1) / kPartKeys;
+    const auto bound = [n](std::size_t p) {
+        return std::min(n, p * kPartKeys);
+    };
+    const auto forEachPart = [parts](const auto &body) {
+        parallelForClaimed(parts, body);
+    };
+
+    // Scratch is carved on the calling thread: the arena binding is
+    // thread-local and pool workers never allocate.
     FrameArena *arena = currentFrameArena();
     std::vector<std::uint64_t> key_heap;
     std::vector<std::uint32_t> val_heap;
-    std::uint64_t *key_scratch = nullptr;
-    std::uint32_t *val_scratch = nullptr;
-    if (arena != nullptr) {
-        key_scratch = arena->allocateArray<std::uint64_t>(n);
-        val_scratch = arena->allocateArray<std::uint32_t>(n);
-    } else {
-        key_heap.resize(n);
-        val_heap.resize(n);
-        key_scratch = key_heap.data();
-        val_scratch = val_heap.data();
-    }
-
-    // All pass histograms in a single sweep over the keys: the sort
-    // is memory-bound, so reading every key once instead of once
-    // per pass is the dominant win on wide keys.
-    std::array<std::size_t,
-               static_cast<std::size_t>(kMaxPasses) * kBuckets>
-        counts{};
-    for (std::size_t i = 0; i < n; ++i) {
-        const std::uint64_t key = keys[i];
-        for (int pass = 0; pass < passes; ++pass) {
-            ++counts[static_cast<std::size_t>(pass) * kBuckets +
-                     ((key >> (pass * kDigitBits)) &
-                      (kBuckets - 1))];
-        }
-    }
-
-#if EDGEPCC_SIMD_X86
-    const bool use_avx2 = activeSimdLevel() >= SimdLevel::kAvx2;
-#endif
+    std::vector<std::size_t> count_heap;
+    std::uint64_t *dst_k = scratchArray(arena, key_heap, n);
+    std::uint32_t *dst_v = scratchArray(arena, val_heap, n);
+    // Row p holds part p's histogram, then its scatter cursors.
+    std::size_t *counts =
+        scratchArray(arena, count_heap, parts * buckets);
 
     std::uint64_t *src_k = keys;
     std::uint32_t *src_v = values;
-    std::uint64_t *dst_k = key_scratch;
-    std::uint32_t *dst_v = val_scratch;
     for (int pass = 0; pass < passes; ++pass) {
-        std::size_t *pass_counts =
-            counts.data() +
-            static_cast<std::size_t>(pass) * kBuckets;
-        // Skip passes where every key shares the digit (digit
-        // uniformity is order-independent, so the pre-sweep
-        // histogram stays valid across performed passes).
-        if (*std::max_element(pass_counts,
-                              pass_counts + kBuckets) == n) {
-            continue;
-        }
+        const int shift = pass * digit_bits;
+        const std::uint64_t mask =
+            (std::uint64_t{1}
+             << std::min(digit_bits, key_bits - shift)) -
+            1;
+        // The loops below read only locals: a store through a
+        // size_t* could otherwise alias the captured shift and mask
+        // and force a reload per key.
+        forEachPart([&](std::size_t p) {
+            const std::size_t lo = bound(p);
+            const std::size_t hi = bound(p + 1);
+            const std::uint64_t *in = src_k;
+            const int sh = shift;
+            const std::uint64_t m = mask;
+            std::size_t *row = counts + p * buckets;
+            std::fill(row, row + buckets, std::size_t{0});
+            for (std::size_t i = lo; i < hi; ++i)
+                ++row[(in[i] >> sh) & m];
+        });
+
+        // Bucket-major, part-minor offsets: within a bucket, part p's
+        // keys land before part p + 1's, and each part scatters in
+        // input order, so equal digits keep their input order.
         std::size_t offset = 0;
-        for (int bucket = 0; bucket < kBuckets; ++bucket) {
-            const std::size_t count = pass_counts[bucket];
-            pass_counts[bucket] = offset;
-            offset += count;
+        bool uniform = false;
+        for (std::size_t b = 0; b < buckets; ++b) {
+            const std::size_t bucket_start = offset;
+            for (std::size_t p = 0; p < parts; ++p) {
+                std::size_t &slot = counts[p * buckets + b];
+                const std::size_t count = slot;
+                slot = offset;
+                offset += count;
+            }
+            uniform = uniform || offset - bucket_start == n;
         }
-        const int shift = pass * kDigitBits;
-#if EDGEPCC_SIMD_X86
-        if (use_avx2) {
-            scatterPassAvx2(src_k, src_v, dst_k, dst_v, n, shift,
-                            pass_counts);
-        } else {
-            scatterPassScalar(src_k, src_v, dst_k, dst_v, n,
-                              shift, pass_counts);
-        }
-#else
-        scatterPassScalar(src_k, src_v, dst_k, dst_v, n, shift,
-                          pass_counts);
-#endif
+        // Every key shares this digit: the pass is the identity.
+        if (uniform)
+            continue;
+
+        forEachPart([&](std::size_t p) {
+            const std::size_t lo = bound(p);
+            const std::size_t hi = bound(p + 1);
+            const std::uint64_t *in_k = src_k;
+            const std::uint32_t *in_v = src_v;
+            std::uint64_t *out_k = dst_k;
+            std::uint32_t *out_v = dst_v;
+            const int sh = shift;
+            const std::uint64_t m = mask;
+            std::size_t *cursor = counts + p * buckets;
+            for (std::size_t i = lo; i < hi; ++i) {
+                const std::uint64_t key = in_k[i];
+                const std::size_t pos = cursor[(key >> sh) & m]++;
+                out_k[pos] = key;
+                out_v[pos] = in_v[i];
+            }
+        });
         std::swap(src_k, dst_k);
         std::swap(src_v, dst_v);
     }
     // Ping-pong may end in the scratch arrays; the caller owns
     // `keys`/`values`, so move the result home.
     if (src_k != keys) {
-        std::copy(src_k, src_k + n, keys);
-        std::copy(src_v, src_v + n, values);
+        forEachPart([&](std::size_t p) {
+            std::copy(src_k + bound(p), src_k + bound(p + 1),
+                      keys + bound(p));
+            std::copy(src_v + bound(p), src_v + bound(p + 1),
+                      values + bound(p));
+        });
     }
 }
 

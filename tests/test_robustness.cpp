@@ -15,10 +15,12 @@
 #include <cstdlib>
 #include <new>
 #include <string>
+#include <utility>
 
 #include "edgepcc/common/rng.h"
 #include "edgepcc/core/video_codec.h"
 #include "edgepcc/dataset/synthetic_human.h"
+#include "edgepcc/parallel/thread_pool.h"
 #include "edgepcc/platform/arena.h"
 #include "edgepcc/stream/stream_file.h"
 
@@ -287,45 +289,84 @@ TEST_F(RobustnessTest, ReferenceFromDifferentVideoIsSafe)
 // Resource exhaustion: Status, not exceptions
 // -----------------------------------------------------------------
 
+/** Countdown values past this mean the sweep never converged. */
+constexpr std::int64_t kMaxCountdown = 1000000;
+
+bool
+sameCloud(const VoxelCloud &a, const VoxelCloud &b)
+{
+    return a.x() == b.x() && a.y() == b.y() && a.z() == b.z() &&
+           a.r() == b.r() && a.g() == b.g() && a.b() == b.b();
+}
+
 TEST_F(RobustnessTest, EncodeReturnsStatusOnAllocFailure)
 {
-    for (const CodecConfig &config : allPaperConfigs()) {
-        bool saw_exhausted = false;
-        for (const std::int64_t after :
-             {std::int64_t{0}, std::int64_t{1}, std::int64_t{7},
-              std::int64_t{40}, std::int64_t{200},
-              std::int64_t{1000}}) {
-            VideoEncoder encoder(config);
-            bool fired = false;
-            auto encoded = [&] {
-                ScopedAllocFailure arm(after);
-                auto result = encoder.encode(frames_[0]);
-                fired = arm.fired();
-                return result;
-            }();
-            if (fired) {
-                saw_exhausted = true;
-                ASSERT_FALSE(encoded.hasValue())
-                    << config.name << " after=" << after;
-                EXPECT_EQ(encoded.status().code(),
-                          StatusCode::kResourceExhausted)
-                    << config.name << " after=" << after;
-            } else {
-                EXPECT_TRUE(encoded.hasValue())
-                    << config.name << " after=" << after;
-            }
-        }
-        EXPECT_TRUE(saw_exhausted) << config.name;
+    // Every countdown value, from the first allocation on, until an
+    // I frame and then a P frame encode without the failure firing:
+    // each allocation of both encodes fails once, including those in
+    // parallel kernels (the block matcher, the radix sort) whose
+    // chunks the caller runs or submits. At pool size 0 everything
+    // runs inline; at 1 and 3 the caller also allocates each task it
+    // submits. A failed submit runs its chunk inline, so a fired
+    // failure may be absorbed: then the frame must be the clean one.
+    for (const std::size_t threads : {0u, 1u, 3u}) {
+        ScopedGlobalPool pool(threads);
+        for (const CodecConfig &config : allPaperConfigs()) {
+            VideoEncoder clean(config);
+            const auto clean_i = clean.encode(frames_[0]);
+            const auto clean_p = clean.encode(frames_[1]);
+            ASSERT_TRUE(clean_i.hasValue() && clean_p.hasValue());
+            const auto expect_clean_or_exhausted =
+                [&](const Expected<EncodedFrame> &frame,
+                    const Expected<EncodedFrame> &reference,
+                    std::int64_t after) {
+                    if (frame.hasValue()) {
+                        EXPECT_EQ(frame->bitstream,
+                                  reference->bitstream)
+                            << config.name << " after=" << after
+                            << " threads=" << threads;
+                        return true;
+                    }
+                    EXPECT_EQ(frame.status().code(),
+                              StatusCode::kResourceExhausted)
+                        << config.name << " after=" << after
+                        << " threads=" << threads;
+                    return false;
+                };
 
-        // The encoder survives the failures: a fresh clean encode
-        // still succeeds on the same instance path.
-        VideoEncoder encoder(config);
-        {
-            ScopedAllocFailure arm(0);
-            (void)encoder.encode(frames_[0]);
+            bool saw_exhausted = false;
+            std::int64_t after = 0;
+            for (; after < kMaxCountdown; ++after) {
+                VideoEncoder encoder(config);
+                ScopedAllocFailure arm(after);
+                const auto i_frame = encoder.encode(frames_[0]);
+                bool ok = expect_clean_or_exhausted(i_frame, clean_i,
+                                                    after);
+                if (ok) {
+                    const auto p_frame = encoder.encode(frames_[1]);
+                    ok = expect_clean_or_exhausted(p_frame, clean_p,
+                                                   after);
+                }
+                saw_exhausted = saw_exhausted || !ok;
+                if (!arm.fired()) {
+                    ASSERT_TRUE(ok)
+                        << config.name << " after=" << after;
+                    break;  // the pair no longer reaches `after`
+                }
+            }
+            EXPECT_TRUE(saw_exhausted) << config.name;
+            EXPECT_LT(after, kMaxCountdown) << config.name;
+
+            // The encoder survives a failure: the next encode on the
+            // same instance succeeds.
+            VideoEncoder encoder(config);
+            {
+                ScopedAllocFailure arm(0);
+                (void)encoder.encode(frames_[0]);
+            }
+            EXPECT_TRUE(encoder.encode(frames_[0]).hasValue())
+                << config.name;
         }
-        EXPECT_TRUE(encoder.encode(frames_[0]).hasValue())
-            << config.name;
     }
 }
 
@@ -337,33 +378,54 @@ TEST_F(RobustnessTest, DecodeReturnsStatusOnAllocFailure)
     ASSERT_TRUE(i_frame.hasValue());
     ASSERT_TRUE(p_frame.hasValue());
 
-    bool saw_exhausted = false;
-    for (const std::int64_t after :
-         {std::int64_t{0}, std::int64_t{1}, std::int64_t{7},
-          std::int64_t{40}, std::int64_t{200},
-          std::int64_t{1000}}) {
-        VideoDecoder decoder;
-        bool fired = false;
-        auto decoded = [&] {
-            ScopedAllocFailure arm(after);
-            auto result = decoder.decode(i_frame->bitstream);
-            fired = arm.fired();
-            return result;
-        }();
-        if (fired) {
-            saw_exhausted = true;
-            ASSERT_FALSE(decoded.hasValue()) << "after=" << after;
-            EXPECT_EQ(decoded.status().code(),
-                      StatusCode::kResourceExhausted)
-                << "after=" << after;
+    // Same sweep as the encode test, decoding the I frame and then
+    // the P frame.
+    for (const std::size_t threads : {0u, 1u, 3u}) {
+        ScopedGlobalPool pool(threads);
+        VideoDecoder clean;
+        const auto clean_i = clean.decode(i_frame->bitstream);
+        const auto clean_p = clean.decode(p_frame->bitstream);
+        ASSERT_TRUE(clean_i.hasValue() && clean_p.hasValue());
+
+        bool saw_exhausted = false;
+        std::int64_t after = 0;
+        for (; after < kMaxCountdown; ++after) {
+            VideoDecoder decoder;
+            bool fired = false;
+            bool ok = false;
+            {
+                ScopedAllocFailure arm(after);
+                auto decoded = decoder.decode(i_frame->bitstream);
+                if (decoded.hasValue()) {
+                    EXPECT_TRUE(
+                        sameCloud(decoded->cloud, clean_i->cloud))
+                        << "after=" << after << " threads=" << threads;
+                    decoded = decoder.decode(p_frame->bitstream);
+                }
+                ok = decoded.hasValue();
+                if (ok) {
+                    EXPECT_TRUE(
+                        sameCloud(decoded->cloud, clean_p->cloud))
+                        << "after=" << after << " threads=" << threads;
+                } else {
+                    EXPECT_EQ(decoded.status().code(),
+                              StatusCode::kResourceExhausted)
+                        << "after=" << after << " threads=" << threads;
+                }
+                fired = arm.fired();
+            }
+            saw_exhausted = saw_exhausted || !ok;
+            if (!fired) {
+                ASSERT_TRUE(ok) << "after=" << after;
+                break;
+            }
             // The decoder is still usable after the failure.
-            EXPECT_TRUE(
-                decoder.decode(i_frame->bitstream).hasValue());
-        } else {
-            EXPECT_TRUE(decoded.hasValue()) << "after=" << after;
+            EXPECT_TRUE(decoder.decode(i_frame->bitstream).hasValue())
+                << "after=" << after << " threads=" << threads;
         }
+        EXPECT_TRUE(saw_exhausted);
+        EXPECT_LT(after, kMaxCountdown);
     }
-    EXPECT_TRUE(saw_exhausted);
 }
 
 TEST_F(RobustnessTest, DecodePromotedReturnsStatusOnAllocFailure)

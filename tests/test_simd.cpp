@@ -21,7 +21,6 @@
 #include "edgepcc/core/video_codec.h"
 #include "edgepcc/dataset/synthetic_human.h"
 #include "edgepcc/morton/morton.h"
-#include "edgepcc/parallel/radix_sort.h"
 #include "edgepcc/platform/simd.h"
 #include "edgepcc/stream/rs_fec.h"
 
@@ -131,39 +130,6 @@ TEST(SimdEquivalence, MortonDecodeBatchMatchesScalar)
             EXPECT_EQ(dx, rx) << simdLevelName(forced.applied());
             EXPECT_EQ(dy, ry) << simdLevelName(forced.applied());
             EXPECT_EQ(dz, rz) << simdLevelName(forced.applied());
-        }
-    }
-}
-
-TEST(SimdEquivalence, RadixSortKeysValuesMatchesPairSort)
-{
-    Rng rng(9);
-    for (const std::size_t n : {0u, 1u, 2u, 100u, 4096u}) {
-        std::vector<std::uint64_t> keys(n);
-        for (std::size_t i = 0; i < n; ++i) {
-            // Narrow key range on purpose: duplicate keys probe the
-            // stability contract (equal keys keep input order).
-            keys[i] = rng.bounded(257);
-        }
-        std::vector<KeyIndex> pairs(n);
-        for (std::size_t i = 0; i < n; ++i)
-            pairs[i] = KeyIndex{keys[i],
-                                static_cast<std::uint32_t>(i)};
-        radixSortPairs(pairs, 48);
-
-        for (const SimdLevel level : forceableLevels()) {
-            ScopedSimdLevel forced(level);
-            std::vector<std::uint64_t> k = keys;
-            std::vector<std::uint32_t> v(n);
-            for (std::size_t i = 0; i < n; ++i)
-                v[i] = static_cast<std::uint32_t>(i);
-            radixSortKeysValues(k.data(), v.data(), n, 48);
-            for (std::size_t i = 0; i < n; ++i) {
-                EXPECT_EQ(k[i], pairs[i].key)
-                    << i << " " << simdLevelName(forced.applied());
-                EXPECT_EQ(v[i], pairs[i].index)
-                    << i << " " << simdLevelName(forced.applied());
-            }
         }
     }
 }
