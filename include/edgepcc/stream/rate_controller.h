@@ -124,58 +124,6 @@ class AdaptiveGopController
     int clean_streak_ EDGEPCC_GUARDED_BY(mutex_) = 0;
 };
 
-/** Adaptive FEC group-size parameters. */
-struct AdaptiveFecConfig {
-    /** Smallest group (most parity overhead: 1 parity chunk per
-     *  min_group_size data chunks). */
-    int min_group_size = 2;
-    /** Largest group (least overhead, weakest protection). */
-    int max_group_size = 8;
-
-    /** Loss estimate above which the group is halved (XOR parity
-     *  recovers one loss per group, so high loss needs small
-     *  groups for the single-loss case to stay likely). */
-    double high_loss = 0.05;
-    /** Loss estimate below which the group may grow back. */
-    double low_loss = 0.015;
-    /** Consecutive clean frames required per growth step. */
-    int grow_after_clean = 4;
-};
-
-/**
- * Closes the loop between the EWMA loss estimate (produced by
- * AdaptiveGopController from delivery feedback) and the FEC group
- * size. Sustained loss shrinks groups — spending wire bytes on
- * parity exactly when retransmission round-trips are most likely —
- * and a clean channel grows them back. Deterministic: state depends
- * only on the (loss estimate, delivered) sequence.
- *
- * Thread-safe: mutex-guarded like AdaptiveGopController.
- */
-class AdaptiveFecController
-{
-  public:
-    AdaptiveFecController(AdaptiveFecConfig config,
-                          int initial_group_size);
-
-    /** Records one frame's post-retransmission outcome together
-     *  with the current smoothed loss estimate. */
-    void onLossEstimate(double ewma_loss, bool delivered);
-
-    int
-    groupSize() const
-    {
-        MutexLock lock(mutex_);
-        return group_size_;
-    }
-
-  private:
-    AdaptiveFecConfig config_;
-    mutable Mutex mutex_;
-    int group_size_ EDGEPCC_GUARDED_BY(mutex_);
-    int clean_streak_ EDGEPCC_GUARDED_BY(mutex_) = 0;
-};
-
 }  // namespace edgepcc
 
 #endif  // EDGEPCC_STREAM_RATE_CONTROLLER_H

@@ -3,20 +3,18 @@
  * Unified redundancy negotiation: one controller for (bitrate,
  * GOP length, RS k/m) against a single wire budget.
  *
- * The stacked controllers it supersedes — AdaptiveFecController
- * shrinking XOR groups on EWMA loss, AdaptiveGopController halving
- * the GOP on the same signal, keyframe-on-loss firing after any
- * undelivered frame — each spend wire bytes or quality without
- * seeing what the others already spent: sustained-but-recoverable
- * loss would simultaneously buy more parity AND shorter GOPs AND
- * forced keyframes, tripling the bitrate cost of one cause. This
- * controller (opt-in via SessionConfig::redundancy) makes the three
- * trades from one model:
+ * When enabled it replaces the fixed FecSpec geometry and the two
+ * loss reactions of a plain session — AdaptiveGopController halving
+ * the GOP on EWMA loss and keyframe-on-loss firing after any
+ * undelivered frame. Those spend quality without seeing what the
+ * parity already spent: sustained-but-recoverable loss would buy
+ * parity AND shorter GOPs AND forced keyframes, paying for one
+ * cause several times. This controller (opt-in via
+ * SessionConfig::redundancy) makes the three trades from one model:
  *
  *  - EWMA *burst length* — not just loss rate — picks the RS parity
  *    depth m: parity must cover the losses that actually arrive
- *    together, which is the statistic XOR group-size adaptation
- *    cannot express.
+ *    together, which a loss rate alone cannot express.
  *  - The group size k follows from the parity byte share the loss
  *    estimate justifies (share = clamp(burst_safety * loss, floor,
  *    max_parity_share); k = m * (1 - share) / share): a clean
@@ -37,7 +35,7 @@
  *    overshoot.
  *
  * Deterministic: state depends only on the feedback sequence.
- * Thread-safe like the controllers it replaces (mutex-guarded).
+ * Thread-safe (mutex-guarded) like AdaptiveGopController.
  */
 
 #ifndef EDGEPCC_STREAM_REDUNDANCY_CONTROLLER_H

@@ -6,9 +6,10 @@
  *
  *  - StreamReceiver: decoder-side resilience. Ingests (possibly
  *    damaged) wire bytes, reassembles chunks by frame id and slice
- *    index, reconstructs single lost chunks per FEC group from XOR
- *    parity, and runs a degradation ladder instead of aborting the
- *    stream:
+ *    index, reconstructs lost chunks per FEC group with the shared
+ *    erasure decoder (one loss for XOR parity, up to m for
+ *    Reed-Solomon), and runs a degradation ladder instead of
+ *    aborting the stream:
  *      ok        - all slices intact, decoded normally
  *      resynced  - an intact I frame re-anchored the stream after
  *                  preceding damage
@@ -20,12 +21,15 @@
  *
  *  - StreamSession: the closed loop. Encodes frames, splits each
  *    payload into MTU-sized slices, groups data chunks into
- *    XOR-parity FEC groups, ships everything through a
- *    fault-injection LossyChannel, answers receiver NACKs with
- *    bounded exponential-backoff retransmissions of the missing
- *    slices only, and feeds delivery outcomes to
- *    AdaptiveGopController so sustained loss shortens the GOP and an
- *    unrecovered loss forces a keyframe.
+ *    (optionally interleaved) FEC groups with XOR or Reed-Solomon
+ *    parity, ships everything through a fault-injection
+ *    LossyChannel, answers receiver NACKs with bounded
+ *    exponential-backoff retransmissions of the missing slices
+ *    only, and feeds delivery outcomes either to
+ *    AdaptiveGopController (sustained loss shortens the GOP, an
+ *    unrecovered loss forces a keyframe) or, when enabled, to the
+ *    RedundancyController that negotiates RS k/m, GOP length and
+ *    bitrate together.
  *
  * Everything is deterministic given (codec config, session config,
  * input frames): the channel is seeded and no wall-clock time is
@@ -225,18 +229,17 @@ class StreamReceiver
         }
     };
 
-    /** One FEC group's receive state (XOR or Reed-Solomon; the
-     *  scheme travels in the chunk flags). Recovered chunks are
-     *  buffered as slices but never inserted into `data`, so
-     *  `expected - data.size()` stays the channel's original loss
-     *  count for accounting. */
+    /** One FEC group's receive state. The scheme travels in the
+     *  chunk flags; XOR parity is row 0 of the same erasure code.
+     *  Recovered chunks are buffered as slices but never inserted
+     *  into `data`, so `expected - data.size()` stays the channel's
+     *  original loss count for accounting. */
     struct FecGroup {
         std::uint8_t expected = 0;  ///< data chunks in the group
-        bool rs = false;  ///< kChunkFlagRsFec seen on a member
-        bool parity_present = false;  ///< XOR parity arrived
+        /** kReedSolomon once kChunkFlagRsFec is seen on a member. */
+        FecScheme scheme = FecScheme::kXor;
         bool recovered = false;
-        std::vector<std::uint8_t> parity;  ///< XOR parity payload
-        /** RS parity payloads keyed by parity row index. */
+        /** Parity payloads keyed by parity row index. */
         std::map<int, std::vector<std::uint8_t>> parity_rows;
         std::map<std::uint8_t, ParsedChunk> data;
     };
@@ -270,23 +273,17 @@ struct SessionConfig {
     /** Sub-frame slicing: max payload bytes per chunk. 0 disables
      *  slicing (one chunk per frame, v1 wire layout). */
     std::size_t mtu_payload = 0;
-    /** XOR-parity FEC over data chunks (see chunk_stream.h).
-     *  Recovery of any single lost chunk per group without a NACK
-     *  round-trip; retransmission remains the fallback. */
+    /** Parity FEC over data chunks (see chunk_stream.h): XOR
+     *  recovers one lost chunk per group, Reed-Solomon up to
+     *  parity_chunks, without a NACK round-trip; retransmission
+     *  remains the fallback. */
     FecSpec fec{};
     /** Interleave depth D: consecutive slices are striped across D
      *  concurrently open FEC groups, so a drop burst of up to D
      *  consecutive chunks costs each group at most one chunk (all
      *  recoverable from parity) instead of wiping one group.
-     *  <= 1 keeps the contiguous grouping (and its exact wire
-     *  bytes). Requires fec.enabled. */
+     *  1 is contiguous grouping. Values > 1 require fec.enabled. */
     int fec_interleave = 1;
-    /** Drive the FEC group size from the EWMA loss estimate:
-     *  sustained loss shrinks groups (more parity exactly when
-     *  recovery matters), a clean channel grows them back.
-     *  Requires fec.enabled; fec.group_size seeds the controller. */
-    bool adaptive_fec = false;
-    AdaptiveFecConfig fec_adaptive{};
     /** Adaptive keyframe insertion under sustained loss. */
     bool adaptive_gop = true;
     AdaptiveGopConfig gop{};
@@ -298,7 +295,7 @@ struct SessionConfig {
      * when enabled (requires fec.enabled with
      * FecScheme::kReedSolomon), one controller picks (RS k/m, GOP
      * length, reuse-threshold bitrate rung) against a single wire
-     * budget and SUPERSEDES adaptive_fec (rejected at validation),
+     * budget and SUPERSEDES fec.group_size/parity_chunks,
      * adaptive_gop and keyframe_on_loss — GOP shortening and forced
      * keyframes then fire only on genuinely unrecoverable loss.
      */
@@ -326,9 +323,8 @@ struct SessionConfig {
  * Status): FEC group_size < 2 or > 255, RS parity m < 1 or
  * m >= group_size, k + m past the GF(256) Cauchy bound,
  * interleaving without FEC/slicing or with lanes that don't divide
- * the group's slice budget, adaptive_fec without FEC or stacked
- * under the redundancy controller, redundancy without RS FEC, and
- * negative retry/backoff knobs. StreamSession::run calls this
+ * the group's slice budget, redundancy without RS FEC or with
+ * inconsistent bounds, and negative retry/backoff knobs. StreamSession::run calls this
  * first; serve/pipeline layers inherit the check.
  */
 Status validateSessionConfig(const SessionConfig &config);

@@ -5,7 +5,6 @@
 
 #include "edgepcc/common/crc32c.h"
 #include "edgepcc/common/trace.h"
-#include "edgepcc/platform/simd.h"
 
 namespace edgepcc {
 
@@ -44,35 +43,7 @@ getU32(const std::uint8_t *data)
            static_cast<std::uint32_t>(data[3]) << 24;
 }
 
-/**
- * XORs one chunk's FEC record into `acc` without materializing the
- * record: the 18-byte prefix is built on the stack, the payload is
- * XORed straight out of the view (SIMD-dispatched). Grows `acc`
- * with zero padding when the record is longer.
- */
-void
-xorRecordInto(std::vector<std::uint8_t> &acc,
-              const ChunkHeader &header, ByteSpan payload)
-{
-    const std::size_t record_size =
-        kFecRecordPrefixBytes + payload.size();
-    if (record_size > acc.size())
-        acc.resize(record_size, 0);
-    std::uint8_t prefix[kFecRecordPrefixBytes];
-    writeFecRecordPrefix(prefix, header, payload.size());
-    xorBytes(acc.data(), prefix, kFecRecordPrefixBytes);
-    if (!payload.empty())
-        xorBytes(acc.data() + kFecRecordPrefixBytes,
-                 payload.data(), payload.size());
-}
-
 }  // namespace
-
-const char *
-fecSchemeName(FecScheme scheme)
-{
-    return scheme == FecScheme::kReedSolomon ? "rs" : "xor";
-}
 
 void
 writeFecRecordPrefix(std::uint8_t *out, const ChunkHeader &header,
@@ -346,43 +317,6 @@ assembleSlices(
         payload.insert(payload.end(), slice->begin(),
                        slice->end());
     return payload;
-}
-
-void
-buildFecParityInto(const std::vector<ChunkView> &group,
-                   std::vector<std::uint8_t> &parity)
-{
-    parity.clear();
-    for (const ChunkView &chunk : group)
-        xorRecordInto(parity, chunk.header, chunk.payload);
-}
-
-std::vector<std::uint8_t>
-buildFecParity(const std::vector<ParsedChunk> &group)
-{
-    std::vector<std::uint8_t> parity;
-    for (const ParsedChunk &chunk : group)
-        xorRecordInto(parity, chunk.header,
-                      ByteSpan(chunk.payload));
-    return parity;
-}
-
-std::optional<ParsedChunk>
-recoverFecChunk(const std::vector<ParsedChunk> &received,
-                const std::vector<std::uint8_t> &parity_payload)
-{
-    if (parity_payload.size() < kFecRecordPrefixBytes)
-        return std::nullopt;
-    std::vector<std::uint8_t> acc = parity_payload;
-    for (const ParsedChunk &chunk : received) {
-        // A record longer than the parity means this chunk was not
-        // covered by this parity — the group is inconsistent.
-        if (kFecRecordPrefixBytes + chunk.payload.size() >
-            acc.size())
-            return std::nullopt;
-        xorRecordInto(acc, chunk.header, ByteSpan(chunk.payload));
-    }
-    return recoverFecRecord(acc);
 }
 
 }  // namespace edgepcc

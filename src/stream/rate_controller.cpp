@@ -68,35 +68,4 @@ AdaptiveGopController::onFrameDelivery(bool delivered)
     }
 }
 
-AdaptiveFecController::AdaptiveFecController(
-    AdaptiveFecConfig config, int initial_group_size)
-    : config_(config),
-      group_size_(std::clamp(initial_group_size,
-                             config.min_group_size,
-                             config.max_group_size))
-{
-}
-
-void
-AdaptiveFecController::onLossEstimate(double ewma_loss,
-                                      bool delivered)
-{
-    MutexLock lock(mutex_);
-    if (!delivered) {
-        clean_streak_ = 0;
-        if (ewma_loss > config_.high_loss) {
-            group_size_ = std::max(config_.min_group_size,
-                                   group_size_ / 2);
-        }
-        return;
-    }
-    ++clean_streak_;
-    if (ewma_loss < config_.low_loss &&
-        clean_streak_ >= config_.grow_after_clean &&
-        group_size_ < config_.max_group_size) {
-        ++group_size_;
-        clean_streak_ = 0;
-    }
-}
-
 }  // namespace edgepcc

@@ -20,6 +20,14 @@ rsCoefficient(int k, int row, int i)
 
 namespace {
 
+/** Coefficient C[row][i] of `scheme`: all 1 for the one XOR row,
+ *  the Cauchy rule for Reed-Solomon. */
+std::uint8_t
+coefficient(FecScheme scheme, int k, int row, int i)
+{
+    return scheme == FecScheme::kXor ? 1 : rsCoefficient(k, row, i);
+}
+
 /** dst ^= coeff * record(header, payload), the record being the
  *  18-byte FEC prefix followed by the payload. `dst` must already
  *  span the record. */
@@ -39,7 +47,7 @@ mulAddRecord(std::uint8_t *dst, const ChunkHeader &header,
 
 void
 buildRsParityInto(const std::vector<ChunkView> &group, int row,
-                  std::vector<std::uint8_t> &parity)
+                  std::vector<std::uint8_t> &parity, FecScheme scheme)
 {
     ScopedTrace trace("stream.rs_encode",
                       Tracer::kVerbosityKernel);
@@ -51,14 +59,15 @@ buildRsParityInto(const std::vector<ChunkView> &group, int row,
     parity.assign(longest, 0);
     for (int i = 0; i < k; ++i)
         mulAddRecord(parity.data(), group[i].header,
-                     group[i].payload, rsCoefficient(k, row, i));
+                     group[i].payload, coefficient(scheme, k, row, i));
 }
 
 std::optional<std::vector<ParsedChunk>>
 recoverRsChunks(int k,
                 const std::map<std::uint8_t, ParsedChunk> &data,
                 const std::map<int, std::vector<std::uint8_t>>
-                    &parity_rows)
+                    &parity_rows,
+                FecScheme scheme)
 {
     ScopedTrace trace("stream.rs_decode",
                       Tracer::kVerbosityKernel);
@@ -112,17 +121,19 @@ recoverRsChunks(int k,
         for (const auto &[seq, chunk] : data)
             mulAddRecord(syn[r].data(), chunk.header,
                          ByteSpan(chunk.payload),
-                         rsCoefficient(k, rows[r], seq));
+                         coefficient(scheme, k, rows[r], seq));
     }
 
-    // Solve the e x e Cauchy subsystem by Gauss-Jordan over
+    // Solve the e x e coefficient subsystem by Gauss-Jordan over
     // GF(256), mirroring every row operation onto the syndrome byte
-    // rows (gfMulAddBytes is the dispatched inner loop).
+    // rows (gfMulAddBytes is the dispatched inner loop). XOR's
+    // all-ones matrix is singular for e >= 2, so only a single
+    // erasure solves.
     std::vector<std::vector<std::uint8_t>> a(
         e, std::vector<std::uint8_t>(e));
     for (std::size_t r = 0; r < e; ++r) {
         for (std::size_t c = 0; c < e; ++c)
-            a[r][c] = rsCoefficient(k, rows[r], missing[c]);
+            a[r][c] = coefficient(scheme, k, rows[r], missing[c]);
     }
     std::vector<std::uint8_t> scratch;
     for (std::size_t col = 0; col < e; ++col) {
@@ -156,11 +167,13 @@ recoverRsChunks(int k,
         }
     }
 
+    const auto extra_flags = static_cast<std::uint8_t>(
+        scheme == FecScheme::kReedSolomon ? kChunkFlagRsFec : 0);
     std::vector<ParsedChunk> recovered;
     recovered.reserve(e);
     for (std::size_t r = 0; r < e; ++r) {
         std::optional<ParsedChunk> chunk =
-            recoverFecRecord(syn[r], kChunkFlagRsFec);
+            recoverFecRecord(syn[r], extra_flags);
         // The record embeds its own fec_seq; a mismatch with the
         // erasure position means the algebra solved a group that
         // was never coded together.

@@ -515,95 +515,6 @@ TEST(AdaptiveGop, SporadicLossHoldsSteady)
 }
 
 // -----------------------------------------------------------------
-// Adaptive FEC controller
-// -----------------------------------------------------------------
-
-TEST(AdaptiveFec, PinnedTrajectoryForFixedLossTrace)
-{
-    AdaptiveFecConfig config;  // min 2, max 8, 5%/1.5%, grow 4
-    AdaptiveFecController fec(config, 8);
-    EXPECT_EQ(fec.groupSize(), 8);
-
-    // Scripted (ewma_loss, delivered) trace with the exact group
-    // size pinned after every step: sustained high loss halves the
-    // group toward min (more parity exactly when recovery
-    // matters), mild loss resets the clean streak without halving,
-    // and a clean channel grows one step per grow_after_clean
-    // consecutive deliveries.
-    struct Step {
-        double loss;
-        bool delivered;
-        int expect;
-    };
-    const Step trace[] = {
-        {0.10, false, 4},  // above high watermark: halve
-        {0.12, false, 2},  // halve again
-        {0.15, false, 2},  // clamped at min_group_size
-        {0.01, true, 2},   // clean streak 1
-        {0.01, true, 2},   // 2
-        {0.01, true, 2},   // 3
-        {0.01, true, 3},   // 4th clean frame: grow one step
-        {0.01, true, 3},   // streak restarts after growth
-        {0.03, false, 3},  // loss below high watermark: hold,
-                           // but the clean streak resets
-        {0.01, true, 3},   // 1
-        {0.01, true, 3},   // 2
-        {0.01, true, 3},   // 3
-        {0.01, true, 4},   // 4: grow again
-        {0.02, true, 4},   // clean but loss above low watermark:
-                           // no growth credit toward max
-        {0.01, true, 4},
-        {0.01, true, 4},
-        {0.01, true, 5},
-    };
-    int step = 0;
-    for (const Step &s : trace) {
-        fec.onLossEstimate(s.loss, s.delivered);
-        EXPECT_EQ(fec.groupSize(), s.expect)
-            << "at trace step " << step;
-        ++step;
-    }
-}
-
-TEST(AdaptiveFec, InitialGroupSizeIsClamped)
-{
-    AdaptiveFecConfig config;
-    EXPECT_EQ(AdaptiveFecController(config, 64).groupSize(),
-              config.max_group_size);
-    EXPECT_EQ(AdaptiveFecController(config, 0).groupSize(),
-              config.min_group_size);
-}
-
-TEST(AdaptiveFec, SessionShrinksGroupsUnderSustainedLoss)
-{
-    const auto frames = testVideo(24, 5, 3000);
-    SessionConfig session;
-    session.channel = ChannelSpec::lossy(0.25, 7);
-    session.mtu_payload = 1200;
-    session.fec.enabled = true;
-    session.fec.group_size = 8;
-    session.adaptive_fec = true;
-    session.adaptive_gop = false;  // isolate the FEC loop
-    session.max_retransmits = 1;
-
-    StreamSession stream(makeIntraInterV1Config(), session);
-    auto report = stream.run(frames);
-    ASSERT_TRUE(report.hasValue());
-    EXPECT_GT(report->stats.parity_sent, 0u);
-    // 25% chunk loss with one retransmission round loses frames,
-    // so the EWMA must rise past the high watermark and shrink the
-    // groups: more parity chunks than the fixed group_size=8
-    // session would ever emit for the same slice count.
-    SessionConfig fixed = session;
-    fixed.adaptive_fec = false;
-    StreamSession fixed_stream(makeIntraInterV1Config(), fixed);
-    auto fixed_report = fixed_stream.run(frames);
-    ASSERT_TRUE(fixed_report.hasValue());
-    EXPECT_GT(report->stats.parity_sent,
-              fixed_report->stats.parity_sent);
-}
-
-// -----------------------------------------------------------------
 // End-to-end session
 // -----------------------------------------------------------------
 

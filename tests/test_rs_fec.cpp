@@ -526,10 +526,6 @@ TEST(SessionValidation, RejectsInterleaveNotDividingGroup)
 
 TEST(SessionValidation, RejectsControllersWithoutTheirDeps)
 {
-    SessionConfig config;
-    config.adaptive_fec = true;  // requires fec.enabled
-    EXPECT_FALSE(validateSessionConfig(config).isOk());
-
     SessionConfig red;
     red.redundancy.enabled = true;  // requires RS FEC
     EXPECT_FALSE(validateSessionConfig(red).isOk());
@@ -538,8 +534,6 @@ TEST(SessionValidation, RejectsControllersWithoutTheirDeps)
     EXPECT_FALSE(validateSessionConfig(red).isOk());
     red.fec.scheme = FecScheme::kReedSolomon;
     EXPECT_TRUE(validateSessionConfig(red).isOk());
-    red.adaptive_fec = true;  // cannot stack under redundancy
-    EXPECT_FALSE(validateSessionConfig(red).isOk());
 }
 
 TEST(SessionValidation, RejectsNegativeRetryKnobs)
