@@ -95,17 +95,24 @@ class Tracer
     /** Seconds on the tracer's monotonic clock. */
     static double nowSeconds();
 
-    /** Appends one completed span (callers use ScopedTrace). */
+    /** Appends one completed span (callers use ScopedTrace). Never
+     *  throws: a span whose append fails to allocate is dropped and
+     *  counted in droppedEvents(). */
     void record(const char *name, double start_s, double dur_s);
 
     /** Copies out all recorded events, in recording order. */
     std::vector<TraceEvent> events() const;
 
-    /** Removes every recorded event. */
+    /** Removes every recorded event, releases their storage and
+     *  zeroes droppedEvents(). */
     void clear();
 
     /** Events recorded so far. */
     std::size_t eventCount() const;
+
+    /** Spans dropped since the last clear() because recording them
+     *  failed to allocate. */
+    std::size_t droppedEvents() const;
 
     /** Dense id of the calling thread (0 = first thread seen). */
     static std::uint32_t currentThreadId();
@@ -115,6 +122,7 @@ class Tracer
 
     mutable Mutex mutex_;
     std::vector<TraceEvent> events_ EDGEPCC_GUARDED_BY(mutex_);
+    std::size_t dropped_ EDGEPCC_GUARDED_BY(mutex_) = 0;
     std::atomic<bool> enabled_{false};
     std::atomic<int> verbosity_{0};
 };

@@ -399,11 +399,15 @@ class ServeScheduler
      * Admits, schedules and encodes every tenant stream to
      * completion, surviving any injected device faults.
      * Deterministic: depends only on the configs, frames and fault
-     * spec, never on wall clock or thread interleaving.
+     * spec, never on wall clock or thread interleaving. An
+     * allocation failure anywhere, encode tasks on the pool
+     * included, returns RESOURCE_EXHAUSTED.
      */
     Expected<ServeReport> run();
 
   private:
+    Expected<ServeReport> runImpl();
+
     ServeConfig config_;
     std::vector<TenantSpec> tenants_;
 };

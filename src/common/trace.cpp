@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <new>
 #include <ostream>
 
 namespace edgepcc {
@@ -72,7 +73,13 @@ Tracer::record(const char *name, double start_s, double dur_s)
     event.dur_s = dur_s;
     event.tid = currentThreadId();
     MutexLock lock(mutex_);
-    events_.push_back(event);
+    // Runs from ~ScopedTrace, where a throw would terminate: under
+    // memory pressure the span is dropped and counted instead.
+    try {
+        events_.push_back(event);
+    } catch (const std::bad_alloc &) {
+        ++dropped_;
+    }
 }
 
 std::vector<TraceEvent>
@@ -86,7 +93,8 @@ void
 Tracer::clear()
 {
     MutexLock lock(mutex_);
-    events_.clear();
+    std::vector<TraceEvent>().swap(events_);
+    dropped_ = 0;
 }
 
 std::size_t
@@ -94,6 +102,13 @@ Tracer::eventCount() const
 {
     MutexLock lock(mutex_);
     return events_.size();
+}
+
+std::size_t
+Tracer::droppedEvents() const
+{
+    MutexLock lock(mutex_);
+    return dropped_;
 }
 
 void

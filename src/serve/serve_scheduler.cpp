@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <new>
 #include <numeric>
 #include <optional>
 #include <utility>
@@ -353,6 +354,19 @@ ServeScheduler::ServeScheduler(ServeConfig config,
 
 Expected<ServeReport>
 ServeScheduler::run()
+{
+    // Every pool task of a batch is waited for before anything can
+    // throw past it, so an exception unwinds no live task's state.
+    try {
+        return runImpl();
+    } catch (const std::bad_alloc &) {
+        return resourceExhausted(
+            "ServeScheduler::run: allocation failed");
+    }
+}
+
+Expected<ServeReport>
+ServeScheduler::runImpl()
 {
     ScopedTrace trace("serve.run");
 
@@ -889,22 +903,36 @@ ServeScheduler::run()
                     continue;
                 const auto task = [&item, want_snapshot, &sync] {
                     TenantState &state = *item.tenant;
-                    if (item.hit) {
-                        state.encoder.restoreState(
-                            item.hit->state_after);
-                    } else {
-                        auto encoded = state.encoder.encode(
-                            state.spec->frames[item.frame_id]);
-                        if (encoded.hasValue()) {
-                            item.encoded = std::move(*encoded);
-                            if (want_snapshot) {
-                                item.state_after =
-                                    state.encoder.snapshotState();
-                                item.have_snapshot = true;
-                            }
+                    // Nothing may escape a pool task, and the batch
+                    // waits for finishOne() on every path. The
+                    // short messages fit the string's inline
+                    // buffer, so the handlers do not allocate.
+                    try {
+                        if (item.hit) {
+                            state.encoder.restoreState(
+                                item.hit->state_after);
                         } else {
-                            item.status = encoded.status();
+                            auto encoded = state.encoder.encode(
+                                state.spec->frames[item.frame_id]);
+                            if (encoded.hasValue()) {
+                                item.encoded = std::move(*encoded);
+                                if (want_snapshot) {
+                                    item.state_after =
+                                        state.encoder
+                                            .snapshotState();
+                                    item.have_snapshot = true;
+                                }
+                            } else {
+                                item.status = encoded.status();
+                            }
                         }
+                    } catch (const std::bad_alloc &) {
+                        item.status =
+                            Status(StatusCode::kResourceExhausted,
+                                   "out of memory");
+                    } catch (...) {
+                        item.status = Status(StatusCode::kInternal,
+                                             "task threw");
                     }
                     sync.finishOne();
                 };
@@ -913,7 +941,12 @@ ServeScheduler::run()
                             DeadlineClass::kInteractive
                         ? TaskPriority::kHigh
                         : TaskPriority::kNormal;
-                pool.submit(task, priority);
+                try {
+                    pool.submit(task, priority);
+                } catch (...) {
+                    // Nothing was queued: run the encode here.
+                    task();
+                }
             }
             sync.waitAll(pool);
         }
