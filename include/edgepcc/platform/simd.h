@@ -86,7 +86,8 @@ void clearSimdLevelForTesting();
 
 /**
  * dst[i] ^= src[i] for `n` bytes, dispatched (AVX2: 32 B/step,
- * SSE4: 16 B/step). The XOR-parity FEC inner loop. `dst` and `src`
+ * SSE4: 16 B/step). The unit-coefficient case of gfMulAddBytes,
+ * which makes it the XOR-parity FEC inner loop. `dst` and `src`
  * must not overlap.
  */
 void xorBytes(std::uint8_t *dst, const std::uint8_t *src,
@@ -94,7 +95,7 @@ void xorBytes(std::uint8_t *dst, const std::uint8_t *src,
 
 /**
  * dst[i] ^= coeff * src[i] in GF(256) (polynomial 0x11d) for `n`
- * bytes — the Reed-Solomon parity/recovery inner loop. Dispatched:
+ * bytes — the FEC parity/recovery inner loop. Dispatched:
  * scalar goes through the common/gf256.h log/exp tables; SSE4/AVX2
  * split each byte into nibbles and resolve both products with
  * PSHUFB lookups into two 16-entry product tables derived from
