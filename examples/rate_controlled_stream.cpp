@@ -1,9 +1,11 @@
 /**
  * @file
- * Bandwidth-budgeted streaming: drives the codec with the
- * ReuseRateController so P-frame sizes converge to a bitrate
- * target by moving the paper's direct-reuse threshold knob
- * (Sec. VI-E) automatically.
+ * Bandwidth-budgeted streaming: drives the codec with the bitrate
+ * rung of the RedundancyController so P-frame sizes converge to a
+ * bitrate target by moving the paper's direct-reuse threshold knob
+ * (Sec. VI-E) automatically. The controller aims at the payload
+ * the wire budget leaves after parity; with no loss reported, that
+ * is the budget minus the smallest parity share.
  *
  * Usage: rate_controlled_stream [target_kbit_per_frame] [frames]
  */
@@ -14,7 +16,7 @@
 #include "edgepcc/core/video_codec.h"
 #include "edgepcc/dataset/synthetic_human.h"
 #include "edgepcc/metrics/quality.h"
-#include "edgepcc/stream/rate_controller.h"
+#include "edgepcc/stream/redundancy_controller.h"
 
 int
 main(int argc, char **argv)
@@ -30,16 +32,22 @@ main(int argc, char **argv)
     SyntheticHumanVideo video(spec);
 
     CodecConfig codec = makeIntraInterV1Config();
-    RateControllerConfig rc;
-    rc.target_bytes_per_frame =
+    RedundancyConfig rc;
+    rc.enabled = true;
+    rc.wire_budget_bytes =
         static_cast<std::uint64_t>(target_kbit * 1000.0 / 8.0);
-    rc.gain = 0.7;
-    ReuseRateController controller(rc);
+    rc.rate_gain = 0.7;
+    RedundancyController controller(
+        rc, codec.gop_size, codec.block_match.reuse_threshold);
 
-    (void)std::printf("Target: %.0f kbit/frame (%.2f Mbit/s at 30 fps), "
+    (void)std::printf("Target: %.0f kbit/frame on the wire (%.2f Mbit/s "
+                "at 30 fps), %.0f kbit of payload after parity, "
                 "%d frames of ~%zu points\n\n",
-                target_kbit, target_kbit * 30.0 / 1e3, frames,
-                spec.target_points);
+                target_kbit, target_kbit * 30.0 / 1e3,
+                static_cast<double>(
+                    controller.decide().payload_budget_bytes) *
+                    8.0 / 1e3,
+                frames, spec.target_points);
     (void)std::printf("%5s %5s %10s %11s %10s %10s\n", "frame", "type",
                 "kbit", "threshold", "reuse [%]", "PSNR [dB]");
 
@@ -51,7 +59,7 @@ main(int argc, char **argv)
     for (int f = 0; f < frames; ++f) {
         if (f % codec.gop_size == 0) {
             codec.block_match.reuse_threshold =
-                controller.threshold();
+                controller.decide().reuse_threshold;
             encoder = VideoEncoder(codec);
         }
         const VoxelCloud frame = video.frame(f);
@@ -67,8 +75,8 @@ main(int argc, char **argv)
                          decoded.status().toString().c_str());
             return 1;
         }
-        controller.onFrame(encoded->stats.type,
-                           encoded->stats.total_bytes);
+        controller.onEncodedFrame(encoded->stats.type,
+                                  encoded->stats.total_bytes);
         (void)std::printf(
             "%5d %5s %10.0f %11.1f %10.0f %10.1f\n", f,
             encoded->stats.type == Frame::Type::kPredicted ? "P"

@@ -14,7 +14,6 @@
 #define EDGEPCC_PARALLEL_THREAD_POOL_H
 
 #include <cstddef>
-#include <cstdint>
 #include <deque>
 #include <functional>
 #include <thread>
@@ -25,22 +24,12 @@
 namespace edgepcc {
 
 /**
- * Scheduling class for submitted tasks. High-priority tasks are
- * dispatched before any queued normal task; within a class, order is
- * FIFO. The serve layer submits interactive-tenant encodes as kHigh
- * so bulk tenants cannot head-of-line block them on a busy pool.
- */
-enum class TaskPriority : std::uint8_t {
-    kNormal = 0,
-    kHigh = 1,
-};
-
-/**
  * A simple task-queue thread pool.
  *
- * Tasks are std::function<void()>; submission is thread-safe. The
- * pool with zero workers degenerates to inline execution, which keeps
- * single-core hosts (and deterministic tests) fast.
+ * Tasks are std::function<void()> run in FIFO order; submission is
+ * thread-safe. The pool with zero workers degenerates to inline
+ * execution, which keeps single-core hosts (and deterministic tests)
+ * fast.
  */
 class ThreadPool
 {
@@ -56,9 +45,6 @@ class ThreadPool
 
     /** Enqueues a task; runs inline when the pool has no workers. */
     void submit(std::function<void()> task);
-
-    /** Enqueues a task in the given scheduling class. */
-    void submit(std::function<void()> task, TaskPriority priority);
 
     /**
      * Blocks until every submitted task has finished. While waiting,
@@ -113,8 +99,6 @@ class ThreadPool
     CondVar task_available_;
     CondVar all_done_;
     std::deque<std::function<void()>> queue_
-        EDGEPCC_GUARDED_BY(mutex_);
-    std::deque<std::function<void()>> high_queue_
         EDGEPCC_GUARDED_BY(mutex_);
     std::size_t in_flight_ EDGEPCC_GUARDED_BY(mutex_) = 0;
     bool shutting_down_ EDGEPCC_GUARDED_BY(mutex_) = false;

@@ -32,10 +32,10 @@
  *  - Batched encode: the frames co-scheduled in one round form a
  *    batch (at most one per tenant, so tasks never share an
  *    encoder); the tenants run concurrently on the shared
- *    ThreadPool, interactive tenants at TaskPriority::kHigh.
- *    Virtual device time advances by the modelled cost of every
- *    frame plus one batch overhead, so schedules are deterministic
- *    and wall-clock free.
+ *    ThreadPool through parallelForClaimed, and the batch settles
+ *    in selection order once all of it has run. Virtual device time
+ *    advances by the modelled cost of every frame plus one batch
+ *    overhead, so schedules are deterministic and wall-clock free.
  *
  *  - Reference cache: see reference_cache.h. Identical
  *    popular-content streams share encode work without ever
@@ -88,10 +88,10 @@ namespace edgepcc {
 namespace serve {
 
 /**
- * Per-tenant service class. Orders admission (interactive is
- * admitted first when the device cannot hold everyone), sets the
- * per-frame completion budget (frame period times the class slack),
- * and maps to ThreadPool priority (interactive encodes are kHigh).
+ * Per-tenant service class. Orders admission and failover
+ * re-admission (interactive is admitted first when the device
+ * cannot hold everyone) and sets the per-frame completion budget
+ * (frame period times the class slack).
  */
 enum class DeadlineClass : std::uint8_t {
     kInteractive = 0,
@@ -123,7 +123,7 @@ struct TenantSpec {
 
     /** Arrived-unserved frames admitted beyond the one being
      *  encoded; older frames are dropped first (same backpressure
-     *  rule as StreamSession). */
+     *  rule as StreamSession). Must be >= 0. */
     int queue_capacity = 2;
 
     /** Poisoned input: these per-tenant frame indices fault at
@@ -148,7 +148,7 @@ struct ServeConfig {
 
     /** Max frames co-scheduled in one batch (one per tenant; the
      *  round-robin cursor carries across rounds, so a cut batch
-     *  resumes where it stopped). */
+     *  resumes where it stopped). Must be >= 1. */
     int batch_max = 4;
 
     /** Dispatch overhead charged once per encode batch. */
@@ -399,9 +399,10 @@ class ServeScheduler
      * Admits, schedules and encodes every tenant stream to
      * completion, surviving any injected device faults.
      * Deterministic: depends only on the configs, frames and fault
-     * spec, never on wall clock or thread interleaving. An
-     * allocation failure anywhere, encode tasks on the pool
-     * included, returns RESOURCE_EXHAUSTED.
+     * spec, never on wall clock or thread interleaving. Invalid
+     * configs or tenants return INVALID_ARGUMENT. An allocation
+     * failure anywhere, encode tasks on the pool included, returns
+     * RESOURCE_EXHAUSTED.
      */
     Expected<ServeReport> run();
 

@@ -1,68 +1,19 @@
 /**
  * @file
- * Bitrate-driven control of the direct-reuse threshold.
+ * Loss-driven control of the GOP length for sessions without the
+ * redundancy controller.
  *
- * The paper exposes the reuse threshold as a tunable design knob
- * (Secs. V-B, VI-E): larger thresholds reuse more blocks, shrinking
- * P-frame payloads at a quality cost. This controller closes the
- * loop for streaming applications with a bandwidth budget: after
- * every P frame it nudges the threshold multiplicatively toward the
- * target payload size, clamped to a sane range.
+ * The bitrate side of rate control (the paper's direct-reuse
+ * threshold, Secs. V-B, VI-E) lives in RedundancyController, which
+ * steers the threshold toward the post-parity payload budget.
  */
 
 #ifndef EDGEPCC_STREAM_RATE_CONTROLLER_H
 #define EDGEPCC_STREAM_RATE_CONTROLLER_H
 
-#include <cstdint>
-
 #include "edgepcc/common/sync.h"
-#include "edgepcc/geometry/point_cloud.h"
 
 namespace edgepcc {
-
-/** Controller parameters. */
-struct RateControllerConfig {
-    /** Target compressed size per P frame, in bytes. */
-    std::uint64_t target_bytes_per_frame = 250000;
-
-    /** Multiplicative adjustment strength per frame (0..1]. */
-    double gain = 0.5;
-
-    /** Threshold clamp range (per-point mean squared distance,
-     *  paper's 300..1200 block thresholds are 15..60 here). */
-    double min_threshold = 1.0;
-    double max_threshold = 2000.0;
-
-    /** Initial threshold (paper V1 operating point). */
-    double initial_threshold = 15.0;
-};
-
-/**
- * Multiplicative-increase/decrease controller over the reuse
- * threshold. Stateless with respect to the codec: feed it the
- * actual per-frame payload sizes and apply threshold() to the next
- * P frame's BlockMatchConfig.
- */
-class ReuseRateController
-{
-  public:
-    explicit ReuseRateController(RateControllerConfig config);
-
-    double threshold() const { return threshold_; }
-
-    /**
-     * Records one encoded frame. Only P frames adjust the
-     * threshold (I frames do not depend on it).
-     */
-    void onFrame(Frame::Type type, std::uint64_t encoded_bytes);
-
-    std::uint64_t framesObserved() const { return frames_; }
-
-  private:
-    RateControllerConfig config_;
-    double threshold_;
-    std::uint64_t frames_ = 0;
-};
 
 /** Adaptive keyframe-insertion parameters. */
 struct AdaptiveGopConfig {

@@ -28,8 +28,8 @@
  *  - The encoder's payload budget is the wire budget minus the
  *    parity share actually being spent: payload_budget =
  *    wire_budget * k / (k + m). The reuse-threshold nudge (the
- *    paper's bitrate knob, same multiplicative rule as
- *    ReuseRateController) steers P-frame payloads toward that
+ *    paper's bitrate knob, a multiplicative step per P frame)
+ *    steers P-frame payloads toward that
  *    post-parity budget, so the overload/byte ladder sees the true
  *    cost of redundancy instead of discovering parity as surprise
  *    overshoot.
@@ -124,8 +124,8 @@ class RedundancyController
     void onFrameFeedback(int chunks_sent, int chunks_lost,
                          int max_burst, bool delivered);
 
-    /** Encoded-size feedback for the bitrate nudge (P frames only,
-     *  like ReuseRateController; no-op when coupling is off). */
+    /** Encoded-size feedback for the bitrate nudge (P frames
+     *  only; no-op when coupling is off). */
     void onEncodedFrame(Frame::Type type,
                         std::uint64_t payload_bytes);
 

@@ -26,11 +26,6 @@ ThreadPool::~ThreadPool()
 bool
 ThreadPool::popTaskLocked(std::function<void()> &task)
 {
-    if (!high_queue_.empty()) {
-        task = std::move(high_queue_.front());
-        high_queue_.pop_front();
-        return true;
-    }
     if (queue_.empty())
         return false;
     task = std::move(queue_.front());
@@ -49,22 +44,13 @@ ThreadPool::finishTask()
 void
 ThreadPool::submit(std::function<void()> task)
 {
-    submit(std::move(task), TaskPriority::kNormal);
-}
-
-void
-ThreadPool::submit(std::function<void()> task, TaskPriority priority)
-{
     if (workers_.empty()) {
         task();
         return;
     }
     {
         MutexLock lock(mutex_);
-        if (priority == TaskPriority::kHigh)
-            high_queue_.push_back(std::move(task));
-        else
-            queue_.push_back(std::move(task));
+        queue_.push_back(std::move(task));
         ++in_flight_;
     }
     task_available_.notifyOne();
@@ -113,8 +99,7 @@ ThreadPool::workerLoop()
         std::function<void()> task;
         {
             MutexLock lock(mutex_);
-            while (!shutting_down_ && queue_.empty() &&
-                   high_queue_.empty())
+            while (!shutting_down_ && queue_.empty())
                 task_available_.wait(mutex_);
             if (!popTaskLocked(task)) {
                 // Queue drained during shutdown: exit.

@@ -134,9 +134,10 @@ RedundancyController::onEncodedFrame(Frame::Type type,
         type != Frame::Type::kPredicted || payload_bytes == 0)
         return;
     MutexLock lock(mutex_);
-    // Same multiplicative rule as ReuseRateController, but the
-    // target is the *post-parity* payload budget, so bitrate and
-    // redundancy trade inside one wire envelope.
+    // Multiplicative step toward the *post-parity* payload
+    // budget, so bitrate and redundancy trade inside one wire
+    // envelope: overshoot raises the threshold (more reuse,
+    // smaller frames), undershoot lowers it (better quality).
     const double budget = static_cast<double>(
         decideLocked().payload_budget_bytes);
     if (budget <= 0.0)

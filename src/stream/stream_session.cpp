@@ -346,81 +346,544 @@ StreamReceiver::decodeAll(std::uint32_t expected_frames)
 
 namespace {
 
-/** One frame's FEC geometry. */
-struct FecPlan {
-    std::size_t group_size = 0;  ///< data chunks per group; 0 = off
-    std::size_t lanes = 1;       ///< interleave depth
-    int parity_rows = 1;         ///< 1 for XOR, m for Reed-Solomon
-    FecScheme scheme = FecScheme::kXor;
+/** Per-frame transport accounting attached after decodeAll. */
+struct FrameSendInfo {
+    int retransmits = 0;
+    int nack_rounds = 0;
+    std::uint64_t payload_bytes = 0;
+    std::uint64_t wire_bytes = 0;
+    double backoff_s = 0.0;
+    PipelineProfile encode_profile;
 };
 
 /**
- * Groups one frame's slices into FEC groups, stamping the FEC
- * fields into the slice headers, and sends each window of data
- * chunks followed by its groups' parity rows. Within a window of
- * group_size * lanes slices, slice j joins group j % lanes, so
- * consecutive wire chunks belong to different groups and a drop
- * burst of up to `lanes` chunks costs each group at most one
- * chunk. One lane is plain contiguous grouping. Groups never span
- * frames, so the receiver can recover a loss before the frame's
- * NACK check runs; group membership travels in the chunk headers.
+ * The state of one StreamSession::run. Each frame passes through
+ * the sender phases admit → encode → frame → protect → send (NACK
+ * rounds) → feedback; finish() then lets the receiver decode the
+ * whole stream and attaches the per-frame transport accounting.
+ *
+ * Overload (inactive unless configured): the encode "latency" is
+ * the modelled edge-device time of the recorded profile scaled by
+ * the injected LoadSpec, so ladder walks are deterministic and
+ * wall-clock free.
  */
-template <typename Send>
-void
-protectAndSend(std::vector<ChunkView> &slices, const ChunkHeader &base,
-               const FecPlan &plan, std::uint16_t &next_fec_group,
-               std::vector<std::uint8_t> &parity_buf, Send &&send)
-{
-    if (plan.group_size == 0) {
-        for (const ChunkView &slice : slices)
-            send(slice.header, slice.payload);
-        return;
+struct SessionRun {
+    const CodecConfig &codec;
+    const SessionConfig &session;
+    const std::vector<VoxelCloud> &frames;
+
+    const bool overload_on = session.overload.enabled;
+    /** Unified redundancy negotiation; supersedes the GOP
+     *  controller (and keyframe_on_loss) when enabled. */
+    const bool redundancy_on = session.redundancy.enabled;
+    VideoEncoder encoder{codec};
+    LossyChannel channel{session.channel};
+    StreamReceiver receiver;
+    AdaptiveGopController gop{session.gop, codec.gop_size};
+    RedundancyController redundancy{
+        session.redundancy, codec.gop_size,
+        codec.block_match.reuse_threshold};
+    OverloadController ladder_ctrl{session.overload};
+    const EdgeDeviceModel device_model{session.overload.device};
+    const double budget_s = ladder_ctrl.budgetSeconds();
+
+    SessionReport report;
+    double clock_s = 0.0;  ///< encoder-busy virtual time
+    int applied_drop_bits = 0;
+    OverloadRung applied_rung = OverloadRung::kFull;
+    bool applied_any_rung = false;
+    std::size_t consecutive_misses = 0;
+
+    std::uint32_t next_sequence = 0;
+    std::uint32_t gop_id = 0;
+    std::uint16_t next_fec_group = 0;
+    bool force_key = false;
+    /** Channel stats at the last loss report: the redundancy
+     *  controller's per-frame loss/burst feedback is their delta
+     *  (the deterministic stand-in for a receiver loss report). */
+    ChannelStats reported;
+
+    std::vector<FrameSendInfo> sent =
+        std::vector<FrameSendInfo>(frames.size());
+    // Zero-copy send path: payloads are views into the encoded
+    // frame (or the parity scratch), serialized into one reusable
+    // wire buffer — the serialize step is the only payload copy
+    // between the encoder and the channel.
+    std::vector<std::uint8_t> wire_buf;
+    std::vector<std::uint8_t> parity_buf;
+
+    SessionRun(const CodecConfig &codec_config,
+               const SessionConfig &session_config,
+               const std::vector<VoxelCloud> &input_frames)
+        : codec(codec_config), session(session_config),
+          frames(input_frames)
+    {
     }
-    const std::uint8_t fec_flags = static_cast<std::uint8_t>(
-        kChunkFlagFec | (plan.scheme == FecScheme::kReedSolomon
-                             ? kChunkFlagRsFec
-                             : 0));
-    const std::size_t window = plan.group_size * plan.lanes;
-    std::vector<ChunkView> group;
-    for (std::size_t begin = 0; begin < slices.size();
-         begin += window) {
-        const std::size_t count =
-            std::min(window, slices.size() - begin);
-        const std::size_t lanes = std::min(plan.lanes, count);
-        const std::uint16_t base_group = next_fec_group;
-        next_fec_group =
-            static_cast<std::uint16_t>(next_fec_group + lanes);
-        for (std::size_t j = 0; j < count; ++j) {
-            const std::size_t lane = j % lanes;
-            ChunkHeader &header = slices[begin + j].header;
-            header.flags |= fec_flags;
-            header.fec_group =
-                static_cast<std::uint16_t>(base_group + lane);
-            header.fec_seq = static_cast<std::uint8_t>(j / lanes);
-            header.fec_group_size = static_cast<std::uint8_t>(
-                count / lanes + (lane < count % lanes ? 1 : 0));
-            send(header, slices[begin + j].payload);
+
+    Status
+    sendFrame(std::size_t f)
+    {
+        // The frame's ladder fields so far (id, rung, queueing);
+        // each of its ladder records starts as a copy.
+        OverloadFrame slot;
+        slot.frame_id = static_cast<std::uint32_t>(f);
+        if (!admit(slot))
+            return Status();  // never encoded, never sent
+
+        // Encode.
+        VoxelCloud coarse{frames[f].gridBits()};
+        const VoxelCloud &input = applyRung(slot, coarse);
+        const RedundancyDecision negotiated = negotiate(slot.rung);
+        auto encoded = encoder.encode(input);
+        if (!encoded)
+            return encoded.status();
+        const Frame::Type type = encoded->stats.type;
+        if (type == Frame::Type::kIntra)
+            gop_id = slot.frame_id;
+        FrameSendInfo &info = sent[f];
+        info.payload_bytes = encoded->bitstream.size();
+        info.encode_profile = std::move(encoded->profile);
+        if (overload_on)
+            chargeLatency(slot, info.encode_profile);
+
+        // Frame: one chunk per MTU payload so a bit flip costs a
+        // slice, not the frame. mtu_payload == 0 reproduces the v1
+        // one-chunk-per-frame wire byte for byte. Slices are views
+        // into encoded->bitstream, which stays alive (and
+        // unmodified) through the NACK rounds.
+        ChunkHeader base;
+        base.frame_id = slot.frame_id;
+        base.gop_id = gop_id;
+        base.frame_type = type;
+        std::vector<ChunkView> slices = sliceFramePayloadViews(
+            base, ByteSpan(encoded->bitstream), session.mtu_payload);
+
+        protect(slices, base, negotiated, info);
+        retransmit(slices, base.frame_id, info);
+        feedback(base.frame_id, type, info);
+        return Status();
+    }
+
+    /**
+     * Admission control on virtual time, then shedding before the
+     * encode; false when the frame is not encoded.
+     *
+     * Frame f is captured at f/fps; the encoder serves frames in
+     * order, so the arrived-unserved window is exactly
+     * [f, last_arrived]. Oldest-drop backpressure keeps the newest
+     * queue_capacity + 1 of them (stale frames are worthless in
+     * telepresence). An injected allocation failure stands for an
+     * encode that reports resource exhaustion via Status: the
+     * session sheds the frame instead of dying. The bottom rung
+     * sheds every frame; its zero encode cost counts as headroom,
+     * so hysteresis climbs back out.
+     */
+    bool
+    admit(OverloadFrame &slot)
+    {
+        slot.rung = ladder_ctrl.rung();
+        if (!overload_on)
+            return true;
+        OverloadStats &overload = report.overload;
+        const double fps = session.overload.target_fps;
+        if (fps > 0.0) {
+            const std::size_t f = slot.frame_id;
+            const double arrival = static_cast<double>(f) / fps;
+            if (clock_s < arrival)
+                clock_s = arrival;  // encoder idle until capture
+            const std::size_t last_arrived = std::min(
+                frames.size() - 1,
+                static_cast<std::size_t>(clock_s * fps + 1e-9));
+            slot.queue_depth = static_cast<int>(last_arrived - f);
+            slot.queue_delay_s = clock_s - arrival;
+            const std::size_t admitted =
+                static_cast<std::size_t>(
+                    std::max(session.overload.queue_capacity, 0)) +
+                1;
+            if (last_arrived - f + 1 > admitted) {
+                ladderRecord(slot, OverloadEvent::kQueueDrop);
+                ++overload.queue_drops;
+                return false;
+            }
         }
-        for (std::size_t lane = 0; lane < lanes; ++lane) {
-            group.clear();
-            for (std::size_t j = lane; j < count; j += lanes)
-                group.push_back(slices[begin + j]);
-            ChunkHeader parity = base;
-            parity.flags = static_cast<std::uint8_t>(
-                kChunkFlagParity | fec_flags);
-            parity.fec_group =
-                static_cast<std::uint16_t>(base_group + lane);
-            parity.fec_group_size =
-                static_cast<std::uint8_t>(group.size());
-            for (int row = 0; row < plan.parity_rows; ++row) {
-                parity.fec_seq = rsParitySeq(row);
-                buildRsParityInto(group, row, parity_buf,
-                                  plan.scheme);
-                send(parity, ByteSpan(parity_buf));
+        if (session.overload.load.allocFailsAt(slot.frame_id)) {
+            ladderRecord(slot, OverloadEvent::kAllocFailure);
+            ++overload.alloc_failures;
+            ++overload.rung_occupancy[static_cast<int>(slot.rung)];
+            return false;
+        }
+        if (slot.rung != OverloadRung::kSkip)
+            return true;
+        ladderRecord(slot, ladder_ctrl.onFrame(0.0));
+        ++overload.rung_occupancy[static_cast<int>(slot.rung)];
+        ++overload.frames_skipped;
+        if (ladder_ctrl.rung() != slot.rung)
+            ++overload.rung_transitions;
+        consecutive_misses = 0;
+        return false;
+    }
+
+    /** Applies the ladder rung to the encoder and returns the
+     *  cloud to encode: the frame, or its coarsened copy in
+     *  `coarse`. */
+    const VoxelCloud &
+    applyRung(const OverloadFrame &slot, VoxelCloud &coarse)
+    {
+        const VoxelCloud &frame = frames[slot.frame_id];
+        const OverloadRung rung = slot.rung;
+        if (!overload_on)
+            return frame;
+        if (!applied_any_rung || rung != applied_rung) {
+            encoder.updateCoding(OverloadController::configForRung(
+                codec, rung, session.overload));
+            applied_rung = rung;
+            applied_any_rung = true;
+        }
+        const int drop_bits = rung >= OverloadRung::kCoarseGeometry
+                                  ? session.overload.coarse_drop_bits
+                                  : 0;
+        if (drop_bits != applied_drop_bits) {
+            // The voxel grid changed; the prediction reference
+            // lives on the old grid, so re-anchor.
+            encoder.forceKeyframe();
+            applied_drop_bits = drop_bits;
+        }
+        if (drop_bits <= 0)
+            return frame;
+        coarse = coarsenCloud(frame, drop_bits);
+        return coarse;
+    }
+
+    /**
+     * The redundancy controller's decision for this frame, applied
+     * to the encoder: the bitrate rung, the GOP length and any
+     * forced keyframe. Without the controller, the adaptive GOP
+     * controller sets the GOP length. The inter-only rung pins the
+     * GOP.
+     */
+    RedundancyDecision
+    negotiate(OverloadRung rung)
+    {
+        RedundancyDecision negotiated;
+        const bool gop_free =
+            !overload_on || rung < OverloadRung::kInterOnly;
+        if (redundancy_on) {
+            negotiated = redundancy.decide();
+            if (negotiated.reuse_threshold >= 0.0) {
+                // Bitrate rung: steer P-frame payloads toward the
+                // post-parity budget. Re-applied every frame — the
+                // overload rung switch replaces the codec config
+                // wholesale.
+                CodecConfig tuned =
+                    overload_on && applied_any_rung
+                        ? OverloadController::configForRung(
+                              codec, applied_rung, session.overload)
+                        : codec;
+                tuned.block_match.reuse_threshold =
+                    negotiated.reuse_threshold;
+                encoder.updateCoding(tuned);
+            }
+            if (gop_free)
+                encoder.setGopSize(negotiated.gop_size);
+            if (redundancy.consumeForcedKeyframe())
+                force_key = true;
+        } else if (session.adaptive_gop && gop_free) {
+            encoder.setGopSize(gop.gopSize());
+        }
+        if (force_key) {
+            encoder.forceKeyframe();
+            ++report.stats.keyframes_forced;
+            force_key = false;
+        }
+        return negotiated;
+    }
+
+    /**
+     * Effective encode latency: per-stage seconds from the
+     * configured budget source (modelled device time by default,
+     * measured host time in wall-clock mode), scaled by the
+     * injected load. The watchdog checks each stage against its
+     * soft-timeout share of the deadline before the frame total is
+     * judged.
+     */
+    void
+    chargeLatency(const OverloadFrame &slot, const PipelineProfile &profile)
+    {
+        OverloadStats &overload = report.overload;
+        const EffectiveLatency eff = effectiveEncodeLatency(
+            device_model.evaluate(profile), session.overload,
+            slot.frame_id);
+        const double effective_s = eff.total_s;
+        const bool stalled =
+            budget_s > 0.0 &&
+            eff.worst_stage_s >
+                budget_s * session.overload.stage_soft_timeout_fraction;
+        const OverloadEvent event =
+            stalled ? ladder_ctrl.onStall(effective_s)
+                    : ladder_ctrl.onFrame(effective_s);
+        const bool missed = budget_s > 0.0 && effective_s > budget_s;
+
+        OverloadFrame &record = ladderRecord(slot, event);
+        record.encode_s = effective_s;
+        record.deadline_missed = missed;
+        if (stalled)
+            record.stalled_stage = eff.worst_stage;
+        ++overload.rung_occupancy[static_cast<int>(slot.rung)];
+        overload.encode_latency_s.push_back(effective_s);
+        if (missed) {
+            ++overload.deadline_misses;
+            ++consecutive_misses;
+            overload.max_consecutive_misses = std::max(
+                overload.max_consecutive_misses, consecutive_misses);
+        } else {
+            consecutive_misses = 0;
+        }
+        if (stalled)
+            ++overload.watchdog_stalls;
+        if (ladder_ctrl.rung() != slot.rung)
+            ++overload.rung_transitions;
+        clock_s += effective_s;
+    }
+
+    /** Appends one overload-ladder record for the frame. */
+    OverloadFrame &
+    ladderRecord(const OverloadFrame &slot, OverloadEvent event)
+    {
+        OverloadFrame &record = report.overload.ladder.emplace_back(slot);
+        record.event = event;
+        return record;
+    }
+
+    /**
+     * Groups the frame's slices into FEC groups, stamping the FEC
+     * fields into the slice headers, and sends each window of data
+     * chunks followed by its groups' parity rows. The geometry is
+     * fixed (fec.group_size / parity_chunks) or negotiated by the
+     * redundancy controller. Within a window of group_size * lanes
+     * slices, slice j joins group j % lanes, so consecutive wire
+     * chunks belong to different groups and a drop burst of up to
+     * `lanes` chunks costs each group at most one chunk. One lane
+     * is plain contiguous grouping. Groups never span frames, so
+     * the receiver can recover a loss before the frame's NACK check
+     * runs; group membership travels in the chunk headers.
+     */
+    void
+    protect(std::vector<ChunkView> &slices, const ChunkHeader &base,
+            const RedundancyDecision &negotiated, FrameSendInfo &info)
+    {
+        const FecSpec &fec = session.fec;
+        if (!fec.enabled) {
+            for (const ChunkView &slice : slices)
+                sendChunk(slice.header, slice.payload, info);
+            return;
+        }
+        const bool rs = fec.scheme == FecScheme::kReedSolomon;
+        const std::size_t group_size = static_cast<std::size_t>(
+            std::max(redundancy_on ? negotiated.group_size
+                                   : fec.group_size,
+                     1));
+        const int parity_rows =
+            rs ? std::max(redundancy_on ? negotiated.parity_chunks
+                                        : fec.parity_chunks,
+                          1)
+               : 1;
+        const std::size_t max_lanes = static_cast<std::size_t>(
+            std::max(session.fec_interleave, 1));
+        const std::uint8_t fec_flags = static_cast<std::uint8_t>(
+            kChunkFlagFec | (rs ? kChunkFlagRsFec : 0));
+        const std::size_t window = group_size * max_lanes;
+        std::vector<ChunkView> group;
+        for (std::size_t begin = 0; begin < slices.size();
+             begin += window) {
+            const std::size_t count =
+                std::min(window, slices.size() - begin);
+            const std::size_t lanes = std::min(max_lanes, count);
+            const std::uint16_t base_group = next_fec_group;
+            next_fec_group =
+                static_cast<std::uint16_t>(next_fec_group + lanes);
+            for (std::size_t j = 0; j < count; ++j) {
+                const std::size_t lane = j % lanes;
+                ChunkHeader &header = slices[begin + j].header;
+                header.flags |= fec_flags;
+                header.fec_group =
+                    static_cast<std::uint16_t>(base_group + lane);
+                header.fec_seq = static_cast<std::uint8_t>(j / lanes);
+                header.fec_group_size = static_cast<std::uint8_t>(
+                    count / lanes + (lane < count % lanes ? 1 : 0));
+                sendChunk(header, slices[begin + j].payload, info);
+            }
+            for (std::size_t lane = 0; lane < lanes; ++lane) {
+                group.clear();
+                for (std::size_t j = lane; j < count; j += lanes)
+                    group.push_back(slices[begin + j]);
+                ChunkHeader parity = base;
+                parity.flags = static_cast<std::uint8_t>(
+                    kChunkFlagParity | fec_flags);
+                parity.fec_group =
+                    static_cast<std::uint16_t>(base_group + lane);
+                parity.fec_group_size =
+                    static_cast<std::uint8_t>(group.size());
+                for (int row = 0; row < parity_rows; ++row) {
+                    parity.fec_seq = rsParitySeq(row);
+                    buildRsParityInto(group, row, parity_buf,
+                                      fec.scheme);
+                    sendChunk(parity, ByteSpan(parity_buf), info);
+                }
             }
         }
     }
-}
+
+    void
+    sendChunk(ChunkHeader header, ByteSpan payload, FrameSendInfo &info)
+    {
+        header.sequence = next_sequence++;
+        serializeChunkInto(header, payload, wire_buf);
+        info.wire_bytes += wire_buf.size();
+        ++report.stats.chunks_sent;
+        if (header.isParity())
+            ++report.stats.parity_sent;
+        for (const auto &arrival : channel.transmit(wire_buf))
+            receiver.ingest(arrival);
+    }
+
+    /**
+     * Bounded NACK rounds: each round resends only the slices
+     * still missing (after FEC recovery), with exponential backoff
+     * (modelled latency, no sleeping) from the shared RetryPolicy.
+     */
+    void
+    retransmit(const std::vector<ChunkView> &slices,
+               std::uint32_t frame_id, FrameSendInfo &info)
+    {
+        const RetryPolicy retry = session.retransmitPolicy();
+        for (int round = 1; round <= session.max_retransmits;
+             ++round) {
+            std::vector<std::size_t> missing;
+            for (std::size_t i = 0; i < slices.size(); ++i) {
+                if (!receiver.hasSlice(frame_id,
+                                       slices[i].header.slice_index))
+                    missing.push_back(i);
+            }
+            if (missing.empty())
+                break;
+            ++info.nack_rounds;
+            const double backoff = retry.backoffFor(round);
+            info.backoff_s += backoff;
+            report.stats.backoff_s += backoff;
+            for (const std::size_t i : missing) {
+                ChunkHeader resend = slices[i].header;
+                resend.flags = static_cast<std::uint8_t>(
+                    (resend.flags & ~kChunkFlagFec) |
+                    kChunkFlagRetransmit);
+                // The original FEC group is already closed; a
+                // resent copy must not distort its accounting.
+                resend.fec_group = 0;
+                resend.fec_seq = 0;
+                resend.fec_group_size = 0;
+                ++report.stats.nacks;
+                ++report.stats.retransmits;
+                ++info.retransmits;
+                sendChunk(resend, slices[i].payload, info);
+            }
+        }
+    }
+
+    /**
+     * Delivery feedback after the NACK rounds. Reorder-held copies
+     * may still surface later; finish() catches them, but delivery
+     * feedback uses the post-retry state (a held chunk is late,
+     * i.e. lost for latency purposes but still usable for decode).
+     */
+    void
+    feedback(std::uint32_t frame_id, Frame::Type type,
+             const FrameSendInfo &info)
+    {
+        const bool delivered = receiver.hasFrame(frame_id);
+        if (delivered) {
+            ++report.stats.frames_delivered;
+        } else {
+            ++report.stats.frames_lost;
+            // Unrecovered loss: re-anchor at the next frame so a
+            // lost I frame cannot poison the rest of its GOP. Under
+            // the redundancy controller that decision is its
+            // keyframe rule (unrecoverable loss only).
+            if (session.keyframe_on_loss && !redundancy_on)
+                force_key = true;
+        }
+        if (!redundancy_on) {
+            if (session.adaptive_gop)
+                gop.onFrameDelivery(delivered);
+            return;
+        }
+        // Loss report from the channel-stat deltas of this frame's
+        // sends (data + parity + retransmits). Using channel truth —
+        // not post-recovery receiver state — keeps the burst
+        // estimate honest: losses the parity absorbed must still
+        // count, or m would decay and oscillate against the very
+        // bursts it covers.
+        const ChannelStats &ch = channel.stats();
+        const auto lost = [](const ChannelStats &s) {
+            return s.dropped + s.truncated + s.bit_flipped;
+        };
+        const std::size_t lost_d = lost(ch) - lost(reported);
+        const std::size_t bursts_d = ch.bursts - reported.bursts;
+        const std::size_t burst_drop_d =
+            ch.burst_dropped - reported.burst_dropped;
+        const int max_burst =
+            bursts_d > 0 ? static_cast<int>(
+                               (burst_drop_d + bursts_d - 1) / bursts_d)
+                         : (lost_d > 0 ? 1 : 0);
+        redundancy.onFrameFeedback(
+            static_cast<int>(ch.chunks_in - reported.chunks_in),
+            static_cast<int>(lost_d), max_burst, delivered);
+        reported = ch;
+        redundancy.onEncodedFrame(type, info.payload_bytes);
+    }
+
+    /** Flushes the channel, decodes the stream and attaches each
+     *  frame's transport accounting. */
+    SessionReport
+    finish()
+    {
+        for (const auto &arrival : channel.flush())
+            receiver.ingest(arrival);
+
+        OverloadStats &overload = report.overload;
+        overload.enabled = overload_on;
+        overload.deadline_s = overload_on ? budget_s : 0.0;
+        overload.frames = overload.ladder.size();
+        report.frames = receiver.decodeAll(
+            static_cast<std::uint32_t>(frames.size()));
+        report.wire = receiver.wireStats();
+        report.fec = receiver.fecStats();
+
+        for (SessionFrame &frame : report.frames) {
+            FrameSendInfo &info = sent[frame.frame_id];
+            frame.retransmits = info.retransmits;
+            frame.nack_rounds = info.nack_rounds;
+            frame.payload_bytes = info.payload_bytes;
+            frame.wire_bytes = info.wire_bytes;
+            frame.backoff_s = info.backoff_s;
+            frame.encode_profile = std::move(info.encode_profile);
+            report.stats.wire_bytes += info.wire_bytes;
+            switch (frame.outcome) {
+              case FrameOutcome::kOk:
+                ++report.stats.frames_ok;
+                break;
+              case FrameOutcome::kResynced:
+                ++report.stats.frames_resynced;
+                break;
+              case FrameOutcome::kConcealed:
+                ++report.stats.frames_concealed;
+                break;
+              case FrameOutcome::kSkipped:
+                ++report.stats.frames_skipped;
+                break;
+            }
+        }
+        return std::move(report);
+    }
+};
 
 }  // namespace
 
@@ -549,433 +1012,12 @@ StreamSession::run(const std::vector<VoxelCloud> &frames)
         return valid;
 
     ScopedTrace trace("session.run");
-    VideoEncoder encoder(codec_);
-    LossyChannel channel(session_.channel);
-    StreamReceiver receiver;
-    AdaptiveGopController gop(session_.gop, codec_.gop_size);
-    // Unified redundancy negotiation; supersedes the GOP controller
-    // above (and keyframe_on_loss) when enabled.
-    const bool redundancy_on = session_.redundancy.enabled;
-    RedundancyController redundancy(
-        session_.redundancy, codec_.gop_size,
-        codec_.block_match.reuse_threshold);
-
-    SessionReport report;
-    report.stats = SessionStats{};
-
-    // Overload subsystem (inactive unless configured): the encode
-    // "latency" is the modelled edge-device time of the recorded
-    // profile scaled by the injected LoadSpec, so ladder walks are
-    // deterministic and wall-clock free.
-    const bool overload_on = session_.overload.enabled;
-    OverloadController ladder_ctrl(session_.overload);
-    const EdgeDeviceModel device_model(session_.overload.device);
-    const double budget_s = ladder_ctrl.budgetSeconds();
-    const double fps = session_.overload.target_fps;
-    const LoadSpec &load = session_.overload.load;
-    OverloadStats &overload = report.overload;
-    overload.enabled = overload_on;
-    overload.deadline_s = overload_on ? budget_s : 0.0;
-    double clock_s = 0.0;  ///< encoder-busy virtual time
-    int applied_drop_bits = 0;
-    OverloadRung applied_rung = OverloadRung::kFull;
-    bool applied_any_rung = false;
-    std::size_t consecutive_misses = 0;
-
-    std::uint32_t next_sequence = 0;
-    std::uint32_t gop_id = 0;
-    std::uint16_t next_fec_group = 0;
-    bool force_key = false;
-    // Channel-stat watermarks for the redundancy controller's
-    // per-frame loss/burst feedback (the deterministic stand-in
-    // for a receiver loss report).
-    std::size_t fb_sent = 0;
-    std::size_t fb_lost = 0;
-    std::size_t fb_bursts = 0;
-    std::size_t fb_burst_dropped = 0;
-
-    /** Per-frame transport accounting attached after decodeAll. */
-    struct FrameSendInfo {
-        int retransmits = 0;
-        int nack_rounds = 0;
-        std::uint64_t payload_bytes = 0;
-        std::uint64_t wire_bytes = 0;
-        double backoff_s = 0.0;
-        PipelineProfile encode_profile;
-    };
-    std::vector<FrameSendInfo> sent(frames.size());
-
-    // Zero-copy send path: payloads are views into the encoded
-    // frame (or the parity scratch), serialized into one reusable
-    // wire buffer — the serialize step is the only payload copy
-    // between the encoder and the channel.
-    std::vector<std::uint8_t> wire_buf;
-    std::vector<std::uint8_t> parity_buf;
-    const auto sendChunk = [&](ChunkHeader header, ByteSpan payload,
-                               FrameSendInfo &info) {
-        header.sequence = next_sequence++;
-        serializeChunkInto(header, payload, wire_buf);
-        info.wire_bytes += wire_buf.size();
-        ++report.stats.chunks_sent;
-        if (header.isParity())
-            ++report.stats.parity_sent;
-        for (const auto &arrival : channel.transmit(wire_buf))
-            receiver.ingest(arrival);
-    };
-
+    SessionRun sender(codec_, session_, frames);
     for (std::size_t f = 0; f < frames.size(); ++f) {
-        const auto frame_id32 = static_cast<std::uint32_t>(f);
-        double queue_delay_s = 0.0;
-        int queue_depth = 0;
-
-        if (overload_on && fps > 0.0) {
-            // Admission control on virtual time. Frame f is
-            // captured at f/fps; the encoder serves frames in
-            // order, so the arrived-unserved window is exactly
-            // [f, last_arrived]. Oldest-drop backpressure keeps
-            // the newest queue_capacity + 1 of them (stale frames
-            // are worthless in telepresence).
-            const double arrival = static_cast<double>(f) / fps;
-            if (clock_s < arrival)
-                clock_s = arrival;  // encoder idle until capture
-            const std::size_t last_arrived = std::min(
-                frames.size() - 1,
-                static_cast<std::size_t>(clock_s * fps + 1e-9));
-            queue_depth = static_cast<int>(last_arrived - f);
-            queue_delay_s = clock_s - arrival;
-            const std::size_t admitted =
-                static_cast<std::size_t>(std::max(
-                    session_.overload.queue_capacity, 0)) +
-                1;
-            if (last_arrived - f + 1 > admitted) {
-                OverloadFrame record;
-                record.frame_id = frame_id32;
-                record.rung = ladder_ctrl.rung();
-                record.event = OverloadEvent::kQueueDrop;
-                record.queue_delay_s = queue_delay_s;
-                record.queue_depth = queue_depth;
-                overload.ladder.push_back(std::move(record));
-                ++overload.queue_drops;
-                continue;  // never encoded, never sent
-            }
-        }
-
-        OverloadRung rung = ladder_ctrl.rung();
-        if (overload_on && load.allocFailsAt(frame_id32)) {
-            // Injected allocation failure: the encode entry point
-            // reports resource exhaustion via Status and the
-            // session sheds the frame instead of dying.
-            OverloadFrame record;
-            record.frame_id = frame_id32;
-            record.rung = rung;
-            record.event = OverloadEvent::kAllocFailure;
-            record.queue_delay_s = queue_delay_s;
-            record.queue_depth = queue_depth;
-            overload.ladder.push_back(std::move(record));
-            ++overload.alloc_failures;
-            ++overload.rung_occupancy[static_cast<int>(rung)];
-            continue;
-        }
-        if (overload_on && rung == OverloadRung::kSkip) {
-            // Bottom rung: shed the whole frame. Zero encode cost
-            // counts as headroom, so hysteresis climbs back out.
-            const OverloadEvent event = ladder_ctrl.onFrame(0.0);
-            OverloadFrame record;
-            record.frame_id = frame_id32;
-            record.rung = rung;
-            record.event = event;
-            record.queue_delay_s = queue_delay_s;
-            record.queue_depth = queue_depth;
-            overload.ladder.push_back(std::move(record));
-            ++overload.rung_occupancy[static_cast<int>(rung)];
-            ++overload.frames_skipped;
-            if (ladder_ctrl.rung() != rung)
-                ++overload.rung_transitions;
-            consecutive_misses = 0;
-            continue;
-        }
-
-        const VoxelCloud *input = &frames[f];
-        VoxelCloud coarse{frames[f].gridBits()};
-        if (overload_on) {
-            if (!applied_any_rung || rung != applied_rung) {
-                encoder.updateCoding(OverloadController::configForRung(
-                    codec_, rung, session_.overload));
-                applied_rung = rung;
-                applied_any_rung = true;
-            }
-            const int drop_bits =
-                rung >= OverloadRung::kCoarseGeometry
-                    ? session_.overload.coarse_drop_bits
-                    : 0;
-            if (drop_bits != applied_drop_bits) {
-                // The voxel grid changed; the prediction reference
-                // lives on the old grid, so re-anchor.
-                encoder.forceKeyframe();
-                applied_drop_bits = drop_bits;
-            }
-            if (drop_bits > 0) {
-                coarse = coarsenCloud(frames[f], drop_bits);
-                input = &coarse;
-            }
-        }
-
-        RedundancyDecision negotiated;
-        if (redundancy_on) {
-            negotiated = redundancy.decide();
-            if (negotiated.reuse_threshold >= 0.0) {
-                // Bitrate rung: steer P-frame payloads toward the
-                // post-parity budget. Re-applied every frame —
-                // the overload rung switch above replaces the
-                // codec config wholesale.
-                CodecConfig tuned =
-                    overload_on && applied_any_rung
-                        ? OverloadController::configForRung(
-                              codec_, applied_rung,
-                              session_.overload)
-                        : codec_;
-                tuned.block_match.reuse_threshold =
-                    negotiated.reuse_threshold;
-                encoder.updateCoding(tuned);
-            }
-            if (!overload_on || rung < OverloadRung::kInterOnly)
-                encoder.setGopSize(negotiated.gop_size);
-            if (redundancy.consumeForcedKeyframe())
-                force_key = true;
-        } else if (session_.adaptive_gop &&
-                   (!overload_on ||
-                    rung < OverloadRung::kInterOnly)) {
-            encoder.setGopSize(gop.gopSize());
-        }
-        if (force_key) {
-            encoder.forceKeyframe();
-            ++report.stats.keyframes_forced;
-            force_key = false;
-        }
-
-        auto encoded = encoder.encode(*input);
-        if (!encoded)
-            return encoded.status();
-
-        const Frame::Type type = encoded->stats.type;
-        if (type == Frame::Type::kIntra)
-            gop_id = frame_id32;
-
-        FrameSendInfo &info = sent[f];
-        info.payload_bytes = encoded->bitstream.size();
-        info.encode_profile = std::move(encoded->profile);
-
-        if (overload_on) {
-            // Effective encode latency: per-stage seconds from the
-            // configured budget source (modelled device time by
-            // default, measured host time in wall-clock mode),
-            // scaled by the injected load. The watchdog checks each
-            // stage against its soft-timeout share of the deadline
-            // before the frame total is judged.
-            const PipelineTiming timing =
-                device_model.evaluate(info.encode_profile);
-            const EffectiveLatency eff = effectiveEncodeLatency(
-                timing, session_.overload, frame_id32);
-            const double effective_s = eff.total_s;
-            const bool stalled =
-                budget_s > 0.0 &&
-                eff.worst_stage_s >
-                    budget_s *
-                        session_.overload.stage_soft_timeout_fraction;
-            const OverloadEvent event =
-                stalled ? ladder_ctrl.onStall(effective_s)
-                        : ladder_ctrl.onFrame(effective_s);
-            const bool missed =
-                budget_s > 0.0 && effective_s > budget_s;
-
-            OverloadFrame record;
-            record.frame_id = frame_id32;
-            record.rung = rung;
-            record.event = event;
-            record.encode_s = effective_s;
-            record.queue_delay_s = queue_delay_s;
-            record.deadline_missed = missed;
-            record.queue_depth = queue_depth;
-            if (stalled)
-                record.stalled_stage = eff.worst_stage;
-            overload.ladder.push_back(std::move(record));
-            ++overload.rung_occupancy[static_cast<int>(rung)];
-            overload.encode_latency_s.push_back(effective_s);
-            if (missed) {
-                ++overload.deadline_misses;
-                ++consecutive_misses;
-                overload.max_consecutive_misses =
-                    std::max(overload.max_consecutive_misses,
-                             consecutive_misses);
-            } else {
-                consecutive_misses = 0;
-            }
-            if (stalled)
-                ++overload.watchdog_stalls;
-            if (ladder_ctrl.rung() != rung)
-                ++overload.rung_transitions;
-            clock_s += effective_s;
-        }
-
-        ChunkHeader base;
-        base.frame_id = static_cast<std::uint32_t>(f);
-        base.gop_id = gop_id;
-        base.frame_type = type;
-
-        // Sub-frame slicing: one chunk per MTU payload so a bit
-        // flip costs a slice, not the frame. mtu_payload == 0
-        // reproduces the v1 one-chunk-per-frame wire byte for byte.
-        // Slices are views into encoded->bitstream, which stays
-        // alive (and unmodified) through the NACK rounds below.
-        std::vector<ChunkView> slices = sliceFramePayloadViews(
-            base, ByteSpan(encoded->bitstream),
-            session_.mtu_payload);
-
-        FecPlan plan;
-        if (session_.fec.enabled) {
-            // The geometry is fixed (fec.group_size /
-            // parity_chunks) or negotiated by the redundancy
-            // controller.
-            plan.scheme = session_.fec.scheme;
-            plan.group_size = static_cast<std::size_t>(std::max(
-                redundancy_on ? negotiated.group_size
-                              : session_.fec.group_size,
-                1));
-            plan.lanes = static_cast<std::size_t>(
-                std::max(session_.fec_interleave, 1));
-            if (plan.scheme == FecScheme::kReedSolomon)
-                plan.parity_rows = std::max(
-                    redundancy_on ? negotiated.parity_chunks
-                                  : session_.fec.parity_chunks,
-                    1);
-        }
-        protectAndSend(slices, base, plan, next_fec_group, parity_buf,
-                       [&](const ChunkHeader &header,
-                           ByteSpan payload) {
-                           sendChunk(header, payload, info);
-                       });
-
-        // Bounded NACK rounds: each round resends only the slices
-        // still missing (after FEC recovery), with exponential
-        // backoff (modelled latency, no sleeping) from the shared
-        // RetryPolicy.
-        const RetryPolicy retry = session_.retransmitPolicy();
-        for (int round = 1; round <= session_.max_retransmits;
-             ++round) {
-            std::vector<std::size_t> missing;
-            for (std::size_t i = 0; i < slices.size(); ++i) {
-                if (!receiver.hasSlice(
-                        base.frame_id,
-                        slices[i].header.slice_index))
-                    missing.push_back(i);
-            }
-            if (missing.empty())
-                break;
-            ++info.nack_rounds;
-            const double backoff = retry.backoffFor(round);
-            info.backoff_s += backoff;
-            report.stats.backoff_s += backoff;
-            for (const std::size_t i : missing) {
-                ChunkHeader resend = slices[i].header;
-                resend.flags = static_cast<std::uint8_t>(
-                    (resend.flags & ~kChunkFlagFec) |
-                    kChunkFlagRetransmit);
-                // The original FEC group is already closed; a
-                // resent copy must not distort its accounting.
-                resend.fec_group = 0;
-                resend.fec_seq = 0;
-                resend.fec_group_size = 0;
-                ++report.stats.nacks;
-                ++report.stats.retransmits;
-                ++info.retransmits;
-                sendChunk(resend, slices[i].payload, info);
-            }
-        }
-        // Reorder-held copies may still surface later; the final
-        // flush below catches them, but delivery feedback uses the
-        // post-retry state (a held chunk is late, i.e. lost for
-        // latency purposes but still usable for decode).
-        const bool delivered = receiver.hasFrame(base.frame_id);
-        if (delivered) {
-            ++report.stats.frames_delivered;
-        } else {
-            ++report.stats.frames_lost;
-            // Unrecovered loss: re-anchor at the next frame so a
-            // lost I frame cannot poison the rest of its GOP.
-            // Under the redundancy controller that decision is
-            // its keyframe rule (unrecoverable loss only).
-            if (session_.keyframe_on_loss && !redundancy_on)
-                force_key = true;
-        }
-        if (redundancy_on) {
-            // Loss report from the channel-stat deltas of this
-            // frame's sends (data + parity + retransmits). Using
-            // channel truth — not post-recovery receiver state —
-            // keeps the burst estimate honest: losses the parity
-            // absorbed must still count, or m would decay and
-            // oscillate against the very bursts it covers.
-            const ChannelStats &ch = channel.stats();
-            const std::size_t sent_d = ch.chunks_in - fb_sent;
-            const std::size_t lost_now =
-                ch.dropped + ch.truncated + ch.bit_flipped;
-            const std::size_t lost_d = lost_now - fb_lost;
-            const std::size_t bursts_d = ch.bursts - fb_bursts;
-            const std::size_t burst_drop_d =
-                ch.burst_dropped - fb_burst_dropped;
-            fb_sent = ch.chunks_in;
-            fb_lost = lost_now;
-            fb_bursts = ch.bursts;
-            fb_burst_dropped = ch.burst_dropped;
-            const int max_burst =
-                bursts_d > 0
-                    ? static_cast<int>(
-                          (burst_drop_d + bursts_d - 1) /
-                          bursts_d)
-                    : (lost_d > 0 ? 1 : 0);
-            redundancy.onFrameFeedback(
-                static_cast<int>(sent_d),
-                static_cast<int>(lost_d), max_burst, delivered);
-            redundancy.onEncodedFrame(type, info.payload_bytes);
-        } else if (session_.adaptive_gop) {
-            gop.onFrameDelivery(delivered);
-        }
+        if (Status sent = sender.sendFrame(f); !sent.isOk())
+            return sent;
     }
-
-    for (const auto &arrival : channel.flush())
-        receiver.ingest(arrival);
-
-    overload.frames = overload.ladder.size();
-
-    report.frames = receiver.decodeAll(
-        static_cast<std::uint32_t>(frames.size()));
-    report.wire = receiver.wireStats();
-    report.fec = receiver.fecStats();
-
-    for (SessionFrame &frame : report.frames) {
-        FrameSendInfo &info = sent[frame.frame_id];
-        frame.retransmits = info.retransmits;
-        frame.nack_rounds = info.nack_rounds;
-        frame.payload_bytes = info.payload_bytes;
-        frame.wire_bytes = info.wire_bytes;
-        frame.backoff_s = info.backoff_s;
-        frame.encode_profile = std::move(info.encode_profile);
-        report.stats.wire_bytes += info.wire_bytes;
-        switch (frame.outcome) {
-          case FrameOutcome::kOk:
-            ++report.stats.frames_ok;
-            break;
-          case FrameOutcome::kResynced:
-            ++report.stats.frames_resynced;
-            break;
-          case FrameOutcome::kConcealed:
-            ++report.stats.frames_concealed;
-            break;
-          case FrameOutcome::kSkipped:
-            ++report.stats.frames_skipped;
-            break;
-        }
-    }
-    return report;
+    return sender.finish();
 }
 
 }  // namespace edgepcc

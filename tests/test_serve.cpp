@@ -16,6 +16,7 @@
 
 #include "edgepcc/core/video_codec.h"
 #include "edgepcc/dataset/synthetic_human.h"
+#include "edgepcc/parallel/thread_pool.h"
 #include "edgepcc/platform/device_model.h"
 #include "edgepcc/serve/reference_cache.h"
 #include "edgepcc/serve/serve_scheduler.h"
@@ -247,6 +248,27 @@ TEST(ServeSchedulerTest, RejectsInvalidInput)
             config, {makeTenant("A", 1, DeadlineClass::kStandard)});
         EXPECT_FALSE(scheduler.run().hasValue());
     }
+    {
+        // An out-of-range batch size is an error.
+        ServeConfig config;
+        config.batch_max = 0;
+        auto report = ServeScheduler(
+            config, {makeTenant("A", 1, DeadlineClass::kStandard)})
+                          .run();
+        ASSERT_FALSE(report.hasValue());
+        EXPECT_EQ(report.status().code(),
+                  StatusCode::kInvalidArgument);
+    }
+    {
+        // So is a negative queue capacity.
+        TenantSpec negative =
+            makeTenant("A", 1, DeadlineClass::kStandard);
+        negative.queue_capacity = -1;
+        auto report = ServeScheduler(ServeConfig{}, {negative}).run();
+        ASSERT_FALSE(report.hasValue());
+        EXPECT_EQ(report.status().code(),
+                  StatusCode::kInvalidArgument);
+    }
 }
 
 // -----------------------------------------------------------------
@@ -329,24 +351,35 @@ TEST(ServeSchedulerTest, MixPreservesPerTenantByteIdentity)
 // Pinned DRR schedule
 // -----------------------------------------------------------------
 
+/** A fleet configuration plus the tenants it serves. */
+struct ServeScenario {
+    ServeConfig config;
+    std::vector<TenantSpec> tenants;
+};
+
+/** The seeded 4-tenant mix behind the pinned DRR trace. */
+ServeScenario
+seededMix()
+{
+    ServeScenario mix;
+    mix.tenants = {makeTenant("A", 11, DeadlineClass::kInteractive, 3),
+                   makeTenant("B", 22, DeadlineClass::kStandard, 3),
+                   makeTenant("C", 33, DeadlineClass::kStandard, 3),
+                   makeTenant("D", 44, DeadlineClass::kBulk, 3)};
+    mix.tenants[0].weight = 2.0;
+    mix.config.quantum_s = 0.004;
+    mix.config.batch_max = 3;  // forces the cursor to carry over rounds
+    return mix;
+}
+
 /** The exact deterministic schedule for a seeded 4-tenant mix —
  *  the serve-layer analogue of the pinned overload ladder walk.
  *  Everything is virtual-time; the trace depends only on the device
  *  model and the synthetic content, never on the host. */
 TEST(ServeSchedulerTest, PinnedDrrTraceForSeededMix)
 {
-    std::vector<TenantSpec> tenants = {
-        makeTenant("A", 11, DeadlineClass::kInteractive, 3),
-        makeTenant("B", 22, DeadlineClass::kStandard, 3),
-        makeTenant("C", 33, DeadlineClass::kStandard, 3),
-        makeTenant("D", 44, DeadlineClass::kBulk, 3)};
-    tenants[0].weight = 2.0;
-
-    ServeConfig config;
-    config.quantum_s = 0.004;
-    config.batch_max = 3;  // forces the cursor to carry over rounds
-
-    ServeScheduler scheduler(config, tenants);
+    const ServeScenario mix = seededMix();
+    ServeScheduler scheduler(mix.config, mix.tenants);
     auto report = scheduler.run();
     ASSERT_TRUE(report.hasValue());
 
@@ -360,6 +393,86 @@ TEST(ServeSchedulerTest, PinnedDrrTraceForSeededMix)
     EXPECT_EQ(report->fleet.batched_frames, 12u);
     EXPECT_GE(report->fleet.batches, 4u);
     EXPECT_GE(report->fleet.rounds, report->fleet.batches);
+}
+
+/** Two replicas, periodic checkpoints and a permanent crash of
+ *  replica 1 mid-stream. B is inter-coded, so its checkpoint
+ *  restore carries encoder reference state; E replays A's content,
+ *  so the reference cache serves hits. */
+ServeScenario
+crashWithCheckpoints()
+{
+    ServeScenario crash;
+    crash.tenants = {makeTenant("A", 11, DeadlineClass::kInteractive, 8),
+                     makeTenant("B", 22, DeadlineClass::kInteractive, 8),
+                     makeTenant("C", 33, DeadlineClass::kStandard, 8),
+                     makeTenant("D", 44, DeadlineClass::kBulk, 8),
+                     makeTenant("E", 11, DeadlineClass::kBulk, 8)};
+    crash.tenants[1].codec = makeIntraInterV1Config();
+    crash.tenants[4].arrival_offset_s = 0.1;  // A's frames cached first
+    crash.config = roomyConfig();
+    crash.config.replicas = 2;
+    crash.config.checkpoint_interval_frames = 2;
+    crash.config.checkpoint_cost_s = 0.0005;
+    crash.config.faults = DeviceFaultSpec::crashSecondary();
+    return crash;
+}
+
+/** What a serve run pins: both traces and every tenant's bytes. */
+struct ServeOutput {
+    std::string trace;
+    std::string recovery;
+    std::vector<std::vector<std::vector<std::uint8_t>>> bitstreams;
+};
+
+ServeOutput
+serveOutput(const ServeScenario &scenario)
+{
+    ServeOutput out;
+    auto report = ServeScheduler(scenario.config, scenario.tenants).run();
+    EXPECT_TRUE(report.hasValue()) << report.status().toString();
+    if (!report.hasValue())
+        return out;
+    out.trace = traceString(*report);
+    out.recovery = recoveryTraceString(*report);
+    for (const TenantReport &tenant : report->tenants) {
+        out.bitstreams.emplace_back();
+        for (const ServedFrame &frame : tenant.frames)
+            out.bitstreams.back().push_back(frame.bitstream);
+    }
+    return out;
+}
+
+/** The batch fan-out may run a batch's encodes on any thread in any
+ *  order; the output must not depend on how many threads there are.
+ *  Inline (0 workers) is the reference. */
+TEST(ServeSchedulerTest, TraceIdenticalAcrossPoolSizes)
+{
+    for (const ServeScenario &scenario :
+         {seededMix(), crashWithCheckpoints()}) {
+        ServeOutput reference;
+        {
+            ScopedGlobalPool pool(0);
+            reference = serveOutput(scenario);
+        }
+        ASSERT_FALSE(reference.trace.empty());
+        for (const std::size_t threads : {1u, 3u}) {
+            ScopedGlobalPool pool(threads);
+            const ServeOutput out = serveOutput(scenario);
+            EXPECT_EQ(out.trace, reference.trace)
+                << "threads=" << threads;
+            EXPECT_EQ(out.recovery, reference.recovery)
+                << "threads=" << threads;
+            EXPECT_TRUE(out.bitstreams == reference.bitstreams)
+                << "threads=" << threads;
+        }
+    }
+    // The crash scenario really restores from checkpoints and
+    // really shares encode work through the cache.
+    ScopedGlobalPool pool(0);
+    const ServeOutput crash = serveOutput(crashWithCheckpoints());
+    EXPECT_NE(crash.recovery.find("+ckpt"), std::string::npos);
+    EXPECT_NE(crash.trace.find('*'), std::string::npos);
 }
 
 // -----------------------------------------------------------------

@@ -93,6 +93,31 @@ TEST_F(VideoCodecTest, GopPatternIsIpp)
     EXPECT_EQ(types[5], Frame::Type::kPredicted);
 }
 
+TEST_F(VideoCodecTest, HigherReuseThresholdShrinksPFrames)
+{
+    // The paper's bitrate knob (Sec. VI-E) through the whole codec:
+    // a looser reuse threshold reuses more blocks, so the P frames
+    // of the same input come out no larger.
+    const auto pFrameBytes = [](double reuse_threshold) {
+        CodecConfig config = makeIntraInterV1Config();
+        config.block_match.reuse_threshold = reuse_threshold;
+        VideoEncoder encoder(config);
+        std::uint64_t bytes = 0;
+        for (int f = 0; f < config.gop_size; ++f) {
+            auto encoded = encoder.encode(frames_[f]);
+            EXPECT_TRUE(encoded.hasValue());
+            if (encoded.hasValue() &&
+                encoded->stats.type == Frame::Type::kPredicted)
+                bytes += encoded->stats.total_bytes;
+        }
+        return bytes;
+    };
+    const std::uint64_t strict = pFrameBytes(15.0);
+    const std::uint64_t loose = pFrameBytes(2000.0);
+    ASSERT_GT(strict, 0u);
+    EXPECT_LT(loose, strict);
+}
+
 TEST_F(VideoCodecTest, IntraOnlyNeverEmitsPredicted)
 {
     VideoEncoder encoder(makeIntraOnlyConfig());

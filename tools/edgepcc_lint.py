@@ -34,6 +34,10 @@ libclang dependency, so it runs anywhere Python does):
                    include the owning standard header directly
                    (transitive includes rot; see the SYMBOL_HEADERS
                    table)
+  long-function    no function body in src/ runs past
+                   LONG_FUNCTION_LINES lines: a longer one is split
+                   into named phases (lambda bodies count toward
+                   the function that holds them)
 
 Findings already recorded in tools/edgepcc_lint_baseline.json are
 ratcheted: they do not fail the build, but new ones do. Fix new
@@ -117,6 +121,15 @@ SYMBOL_HEADERS = {
 # discarded statements even though they do not return Status.
 MUST_USE_NAMES = ("allowRequest",)
 
+# long-function: longest function body (opening to closing brace,
+# both lines included) allowed in src/.
+LONG_FUNCTION_LINES = 150
+
+# Words that can stand before "(...) {" without naming a function.
+NOT_FUNCTION_NAMES = frozenset((
+    "if", "for", "while", "switch", "catch", "return", "sizeof",
+    "decltype", "alignof", "static_assert", "defined"))
+
 SUPPRESS_RE = re.compile(r"//\s*edgepcc-lint:\s*allow\(([a-z-]+)\)")
 
 RULES = (
@@ -126,6 +139,7 @@ RULES = (
     "trace-span",
     "hot-memcpy",
     "include-hygiene",
+    "long-function",
 )
 
 
@@ -429,6 +443,56 @@ def rule_include_hygiene(path, raw, clean, raw_lines):
     return findings
 
 
+def iter_function_bodies(clean: str):
+    """Yields (name, name_line, open_line, close_line) for every
+    function definition in comment-stripped text: a brace pair whose
+    header (the text since the previous ';', '{' or '}') is
+    `name(...)` plus qualifiers or an initializer list. Lambdas and
+    control statements do not count as definitions."""
+    pairs = []
+    stack = []
+    for i, c in enumerate(clean):
+        if c == "{":
+            stack.append(i)
+        elif c == "}" and stack:
+            pairs.append((stack.pop(), i))
+    for open_pos, close_pos in pairs:
+        start = max(clean.rfind(ch, 0, open_pos) for ch in ";{}") + 1
+        header = "\n".join(
+            "" if line.lstrip().startswith("#") else line
+            for line in clean[start:open_pos].split("\n"))
+        paren = header.find("(")
+        if paren < 0 or header.count("(") != header.count(")"):
+            continue
+        m = re.search(r"((?:[A-Za-z_]\w*\s*::\s*)*~?[A-Za-z_]\w*)\s*$",
+                      header[:paren])
+        if not m or "=" in header[:paren]:
+            continue
+        name = re.sub(r"\s+", "", m.group(1))
+        if name in NOT_FUNCTION_NAMES:
+            continue
+        name_pos = start + m.start(1)
+        yield (name, clean.count("\n", 0, name_pos) + 1,
+               clean.count("\n", 0, open_pos) + 1,
+               clean.count("\n", 0, close_pos) + 1)
+
+
+def rule_long_function(path, raw, clean, raw_lines):
+    if not path.startswith("src/"):
+        return []
+    findings = []
+    for name, line, first, last in iter_function_bodies(clean):
+        length = last - first + 1
+        if length <= LONG_FUNCTION_LINES:
+            continue
+        findings.append(Finding(
+            "long-function", path, line,
+            f"{name}() body is {length} lines (limit "
+            f"{LONG_FUNCTION_LINES}); split it into named phases",
+            f"{path}:long-function:{name}"))
+    return findings
+
+
 RULE_FUNCS = {
     "return-status": rule_return_status,
     "decoder-check": rule_decoder_check,
@@ -436,6 +500,7 @@ RULE_FUNCS = {
     "trace-span": rule_trace_span,
     "hot-memcpy": rule_hot_memcpy,
     "include-hygiene": rule_include_hygiene,
+    "long-function": rule_long_function,
 }
 
 
@@ -570,6 +635,21 @@ SELF_TEST_CASES = [
     ("return-status", "src/serve/breaker_used.cpp",
      "void run(CircuitBreaker &b)\n{\n"
      "    if (!b.allowRequest(now_s))\n        return;\n}\n",
+     0),
+    # long-function: a body over the limit is one finding for the function
+    # only; the long if-block and lambda inside it are not functions.
+    ("long-function", "src/serve/long_unit.cpp",
+     "int\nRun::all(int x) const\n{\n    if (x > 0)\n    {\n"
+     "        const auto f = [&](int y) {\n" + "            x += y;\n" * 143
+     + "        };\n        f(x);\n    }\n    return x;\n}\n",
+     1),
+    # Exactly at the limit (150 lines, braces included) is fine.
+    ("long-function", "src/serve/limit_unit.cpp",
+     "void f()\n{\n" + "    g();\n" * 148 + "}\n",
+     0),
+    # Only src/ is held to the limit.
+    ("long-function", "tests/long_test.cpp",
+     "void f()\n{\n" + "    g();\n" * 149 + "}\n",
      0),
 ]
 
