@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "edgepcc/dataset/synthetic_human.h"
@@ -911,6 +912,74 @@ TEST(SessionWire, PinnedReportDigests)
     ASSERT_FALSE(rejected.hasValue());
     EXPECT_EQ(rejected.status().code(),
               StatusCode::kInvalidArgument);
+}
+
+/** One letter per frame: I/P for the frame type, or o/r/c/s for the
+ *  ladder outcome. */
+std::string
+frameLetters(const SessionReport &report, bool outcomes)
+{
+    std::string letters;
+    for (const SessionFrame &frame : report.frames) {
+        if (!outcomes) {
+            letters += frame.type == Frame::Type::kIntra ? 'I' : 'P';
+            continue;
+        }
+        letters += "orcs"[static_cast<int>(frame.outcome)];
+    }
+    return letters;
+}
+
+/**
+ * Pins 40-frame V1 sessions at the default SessionConfig, whose loss
+ * controller frees the GOP: every undelivered frame halves it and
+ * forces a keyframe, and a clean run grows it back one frame at a
+ * time. On each channel (15% uniform loss without FEC, and 3-chunk
+ * bursts with XOR k=6, both at MTU 300) the GOP both halves (runs of
+ * I frames) and grows back (P runs lengthen again) within the run,
+ * so a change to either rule moves the I/P string.
+ */
+TEST(SessionWire, PinnedDefaultGopTraces)
+{
+    const auto frames = testVideo(40, 91, 4000);
+    struct Case {
+        const char *name;
+        ChannelSpec channel;
+        bool xor_fec;
+        const char *types;
+        const char *outcomes;
+        std::size_t keyframes_forced;
+    };
+    const Case cases[] = {
+        {"lossy15/8", ChannelSpec::lossy(0.15, 8), false,
+         "IPPIPPPPIPIPIPIPIPIIPPIPPPIPPPIPPPPIPPPP",
+         "ooooooooocrooooooooooooooooooooooooooooo", 1},
+        {"lossy15/12", ChannelSpec::lossy(0.15, 12), false,
+         "IIIIIIIIIIPIPIPIIPPIIIIIIIIIIPIPIPIIIIII",
+         "srooooooooooooooooocroooooooooooooocrooo", 3},
+        {"bursty/1", ChannelSpec::bursty(0.03, 3, 1), true,
+         "IPPIIIIIIIIIIIIIIIIPIPIPPPIPPIPIPIPIPIII",
+         "oocrooocrooooooooooooooooooooocroooocroo", 4},
+        {"bursty/4", ChannelSpec::bursty(0.03, 3, 4), true,
+         "IIIIIIIIIIPIPIPIIPPIPPPPPIPPPPPIPPPPPIPP",
+         "sroooooooooooooooooooooooooooooooooooooo", 1},
+    };
+    for (const Case &c : cases) {
+        SessionConfig session;
+        session.channel = c.channel;
+        session.mtu_payload = 300;
+        session.fec.enabled = c.xor_fec;
+        session.fec.group_size = 6;
+        auto report =
+            StreamSession(makeIntraInterV1Config(), session)
+                .run(frames);
+        ASSERT_TRUE(report.hasValue()) << c.name;
+        EXPECT_EQ(frameLetters(*report, false), c.types) << c.name;
+        EXPECT_EQ(frameLetters(*report, true), c.outcomes)
+            << c.name;
+        EXPECT_EQ(report->stats.keyframes_forced, c.keyframes_forced)
+            << c.name;
+    }
 }
 
 // -----------------------------------------------------------------
