@@ -43,21 +43,11 @@ class ThreadPool
 
     std::size_t numThreads() const { return workers_.size(); }
 
-    /** Enqueues a task; runs inline when the pool has no workers. */
+    /** Enqueues a task; runs inline when the pool has no workers.
+     *  Callers wait for their own tasks with a per-call latch
+     *  (detail::ChunkGroup in parallel_for.h); the destructor runs
+     *  every queued task before joining the workers. */
     void submit(std::function<void()> task);
-
-    /**
-     * Blocks until every submitted task has finished. While waiting,
-     * the calling thread helps drain the queue, so `wait()` from a
-     * caller that just submitted work makes progress even when all
-     * workers are busy.
-     *
-     * Must not be called from inside a pool task: the caller's own
-     * task counts as in flight, so the global counter can never
-     * reach zero (use `parallelFor`, which waits on a per-call latch
-     * and is safe to nest).
-     */
-    void wait();
 
     /**
      * Pops and runs one queued task on the calling thread.
@@ -89,18 +79,13 @@ class ThreadPool
     bool popTaskLocked(std::function<void()> &task)
         EDGEPCC_REQUIRES(mutex_);
 
-    /** Marks one task finished, waking waiters at zero. */
-    void finishTask();
-
     /** Immutable after construction (no guard needed). */
     std::vector<std::thread> workers_;
 
     Mutex mutex_;
     CondVar task_available_;
-    CondVar all_done_;
     std::deque<std::function<void()>> queue_
         EDGEPCC_GUARDED_BY(mutex_);
-    std::size_t in_flight_ EDGEPCC_GUARDED_BY(mutex_) = 0;
     bool shutting_down_ EDGEPCC_GUARDED_BY(mutex_) = false;
 };
 

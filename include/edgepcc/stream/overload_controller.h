@@ -26,7 +26,7 @@
  * synthetic LoadSpec, so every ladder walk is deterministic and
  * tier-1 tests can pin exact rung sequences. A deadline miss
  * descends one rung immediately; recovery is hysteretic in the
- * EWMA style of AdaptiveGopController: the controller climbs one
+ * style of the loss controller's GOP rule: the controller climbs one
  * rung only after `recover_after_clean` consecutive frames whose
  * smoothed utilization leaves `recover_headroom` of the budget
  * free.

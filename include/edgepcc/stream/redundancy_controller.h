@@ -1,16 +1,25 @@
 /**
  * @file
- * Unified redundancy negotiation: one controller for (bitrate,
- * GOP length, RS k/m) against a single wire budget.
+ * The session's loss controller: one controller for (bitrate, GOP
+ * length, RS k/m) against a single wire budget.
  *
- * When enabled it replaces the fixed FecSpec geometry and the two
- * loss reactions of a plain session — AdaptiveGopController halving
- * the GOP on EWMA loss and keyframe-on-loss firing after any
- * undelivered frame. Those spend quality without seeing what the
- * parity already spent: sustained-but-recoverable loss would buy
- * parity AND shorter GOPs AND forced keyframes, paying for one
- * cause several times. This controller (opt-in via
- * SessionConfig::redundancy) makes the three trades from one model:
+ * Every StreamSession runs it. In IPP coding every P frame depends
+ * on its GOP's I frame, so a session can contain an unrecoverable
+ * loss in only two ways: re-anchor with a keyframe, and shorten the
+ * GOP. Both rules apply to every session:
+ *
+ *  - Keyframe: every undelivered frame (still incomplete after
+ *    parity decode and NACK rounds) forces an I frame at the next
+ *    encode. Loss that parity absorbed costs parity bytes; it must
+ *    not also cost keyframes.
+ *  - GOP: every undelivered frame halves the GOP (down to
+ *    min_gop_size). It grows back one frame at a time, and only
+ *    when the EWMA of undelivered frames is below 2%, at least
+ *    grow_after_clean clean frames have passed since the last loss
+ *    or growth step, and the GOP is below max_gop_size.
+ *
+ * RedundancyConfig::enabled (which requires Reed-Solomon FEC) adds
+ * the two trades that price parity against the wire budget:
  *
  *  - EWMA *burst length* — not just loss rate — picks the RS parity
  *    depth m: parity must cover the losses that actually arrive
@@ -21,10 +30,6 @@
  *    channel grows k toward max_group_size (overhead -> m/(k+m)
  *    minimum), sustained loss shrinks k so the same m covers a
  *    larger fraction.
- *  - GOP halving and forced keyframes react ONLY to genuinely
- *    unrecoverable loss (a frame still incomplete after parity
- *    decode and NACK rounds). Loss that parity absorbed costs
- *    parity bytes — it must not also cost keyframes.
  *  - The encoder's payload budget is the wire budget minus the
  *    parity share actually being spent: payload_budget =
  *    wire_budget * k / (k + m). The reuse-threshold nudge (the
@@ -34,8 +39,11 @@
  *    cost of redundancy instead of discovering parity as surprise
  *    overshoot.
  *
- * Deterministic: state depends only on the feedback sequence.
- * Thread-safe (mutex-guarded) like AdaptiveGopController.
+ * The GOP bounds, grow_after_clean and ewma_alpha must pass
+ * validateSessionConfig (stream_session.h). Deterministic: state
+ * depends only on the feedback sequence. Thread-safe
+ * (mutex-guarded): feedback may arrive from a receiver thread while
+ * the encode loop polls decide().
  */
 
 #ifndef EDGEPCC_STREAM_REDUNDANCY_CONTROLLER_H
@@ -50,9 +58,12 @@ namespace edgepcc {
 
 /** Controller knobs; defaults match the edge-link design point. */
 struct RedundancyConfig {
+    /** Negotiate RS k/m and the wire-budget bitrate rung (requires
+     *  Reed-Solomon FEC). The GOP and keyframe rules always run. */
     bool enabled = false;
 
-    /** EWMA smoothing for the loss fraction and burst length. */
+    /** EWMA smoothing for the loss fraction, the burst length and
+     *  the undelivered-frame rate, in (0, 1]. */
     double ewma_alpha = 0.25;
 
     /** Group-size (k) clamp. */
@@ -70,7 +81,8 @@ struct RedundancyConfig {
     double burst_safety = 3.0;
 
     /** GOP clamp + growth cadence (halve on unrecoverable loss,
-     *  grow one step per `grow_after_clean` clean frames). */
+     *  grow one step per `grow_after_clean` clean frames once the
+     *  undelivered-frame EWMA is below 2%). */
     int min_gop_size = 1;
     int max_gop_size = 12;
     int grow_after_clean = 6;
@@ -150,6 +162,7 @@ class RedundancyController
     mutable Mutex mutex_;
     double ewma_loss_ EDGEPCC_GUARDED_BY(mutex_) = 0.0;
     double ewma_burst_ EDGEPCC_GUARDED_BY(mutex_) = 1.0;
+    double ewma_undelivered_ EDGEPCC_GUARDED_BY(mutex_) = 0.0;
     int gop_size_ EDGEPCC_GUARDED_BY(mutex_);
     int clean_streak_ EDGEPCC_GUARDED_BY(mutex_) = 0;
     bool force_key_ EDGEPCC_GUARDED_BY(mutex_) = false;

@@ -25,11 +25,11 @@
  *    parity, ships everything through a fault-injection
  *    LossyChannel, answers receiver NACKs with bounded
  *    exponential-backoff retransmissions of the missing slices
- *    only, and feeds delivery outcomes either to
- *    AdaptiveGopController (sustained loss shortens the GOP, an
- *    unrecovered loss forces a keyframe) or, when enabled, to the
- *    RedundancyController that negotiates RS k/m, GOP length and
- *    bitrate together.
+ *    only, and feeds delivery outcomes to the RedundancyController:
+ *    an unrecovered loss forces a keyframe and halves the GOP, a
+ *    clean channel grows it back, and when enabled the same
+ *    controller negotiates RS k/m and the bitrate against one wire
+ *    budget.
  *
  * Everything is deterministic given (codec config, session config,
  * input frames): the channel is seeded and no wall-clock time is
@@ -52,7 +52,6 @@
 #include "edgepcc/stream/chunk_stream.h"
 #include "edgepcc/stream/lossy_channel.h"
 #include "edgepcc/stream/overload_controller.h"
-#include "edgepcc/stream/rate_controller.h"
 #include "edgepcc/stream/redundancy_controller.h"
 
 namespace edgepcc {
@@ -284,20 +283,15 @@ struct SessionConfig {
      *  recoverable from parity) instead of wiping one group.
      *  1 is contiguous grouping. Values > 1 require fec.enabled. */
     int fec_interleave = 1;
-    /** Adaptive keyframe insertion under sustained loss. */
-    bool adaptive_gop = true;
-    AdaptiveGopConfig gop{};
-    /** Force an I frame right after an unrecovered loss, so damage
-     *  cannot propagate past the next frame. */
-    bool keyframe_on_loss = true;
     /**
-     * Unified redundancy negotiation (redundancy_controller.h):
-     * when enabled (requires fec.enabled with
-     * FecScheme::kReedSolomon), one controller picks (RS k/m, GOP
-     * length, reuse-threshold bitrate rung) against a single wire
-     * budget and SUPERSEDES fec.group_size/parity_chunks,
-     * adaptive_gop and keyframe_on_loss — GOP shortening and forced
-     * keyframes then fire only on genuinely unrecoverable loss.
+     * The loss controller (redundancy_controller.h), run by every
+     * session: an unrecovered loss forces a keyframe and halves the
+     * GOP within [min_gop_size, max_gop_size], and a clean channel
+     * grows it back. Setting min_gop_size = max_gop_size =
+     * CodecConfig::gop_size pins the GOP. When enabled (requires
+     * fec.enabled with FecScheme::kReedSolomon), it also picks RS
+     * k/m, superseding fec.group_size/parity_chunks, and the
+     * reuse-threshold bitrate rung against a single wire budget.
      */
     RedundancyConfig redundancy{};
     /** Deadline-aware encode ladder + admission control + watchdog
@@ -323,8 +317,12 @@ struct SessionConfig {
  * Status): FEC group_size < 2 or > 255, RS parity m < 1 or
  * m >= group_size, k + m past the GF(256) Cauchy bound,
  * interleaving without FEC/slicing or with lanes that don't divide
- * the group's slice budget, redundancy without RS FEC or with
- * inconsistent bounds, and negative retry/backoff knobs. StreamSession::run calls this
+ * the group's slice budget, GOP bounds outside 1 <= min <= max,
+ * grow_after_clean < 1 or ewma_alpha outside (0, 1], redundancy
+ * without RS FEC or with inconsistent bounds, negative
+ * retry/backoff knobs, and (when overload.enabled) negative
+ * queue_capacity/target_fps/deadline_s/coarse_drop_bits or
+ * stage_soft_timeout_fraction <= 0. StreamSession::run calls this
  * first; serve/pipeline layers inherit the check.
  */
 Status validateSessionConfig(const SessionConfig &config);

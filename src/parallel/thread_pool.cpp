@@ -34,14 +34,6 @@ ThreadPool::popTaskLocked(std::function<void()> &task)
 }
 
 void
-ThreadPool::finishTask()
-{
-    MutexLock lock(mutex_);
-    if (--in_flight_ == 0)
-        all_done_.notifyAll();
-}
-
-void
 ThreadPool::submit(std::function<void()> task)
 {
     if (workers_.empty()) {
@@ -51,31 +43,8 @@ ThreadPool::submit(std::function<void()> task)
     {
         MutexLock lock(mutex_);
         queue_.push_back(std::move(task));
-        ++in_flight_;
     }
     task_available_.notifyOne();
-}
-
-void
-ThreadPool::wait()
-{
-    if (workers_.empty())
-        return;
-    for (;;) {
-        std::function<void()> task;
-        {
-            MutexLock lock(mutex_);
-            // Help drain instead of sleeping: the waiter often
-            // submitted this work and owns the captures it uses.
-            while (!popTaskLocked(task)) {
-                if (in_flight_ == 0)
-                    return;
-                all_done_.wait(mutex_);
-            }
-        }
-        task();
-        finishTask();
-    }
 }
 
 bool
@@ -88,7 +57,6 @@ ThreadPool::tryRunOne()
             return false;
     }
     task();
-    finishTask();
     return true;
 }
 
@@ -107,7 +75,6 @@ ThreadPool::workerLoop()
             }
         }
         task();
-        finishTask();
     }
 }
 

@@ -7,13 +7,20 @@
 
 namespace edgepcc {
 
+namespace {
+
+/** The GOP grows back only while the undelivered-frame EWMA is below
+ *  this: after one loss at alpha 0.25, nine clean frames. */
+constexpr double kGrowBelowUndelivered = 0.02;
+
+}  // namespace
+
 RedundancyController::RedundancyController(
     RedundancyConfig config, int initial_gop_size,
     double initial_reuse_threshold)
     : config_(config),
-      gop_size_(std::clamp(initial_gop_size,
-                           std::max(config.min_gop_size, 1),
-                           std::max(config.max_gop_size, 1))),
+      gop_size_(std::clamp(initial_gop_size, config.min_gop_size,
+                           config.max_gop_size)),
       threshold_(std::clamp(initial_reuse_threshold,
                             config.min_threshold,
                             config.max_threshold))
@@ -93,8 +100,7 @@ RedundancyController::onFrameFeedback(int chunks_sent,
                                       bool delivered)
 {
     MutexLock lock(mutex_);
-    const double alpha =
-        std::clamp(config_.ewma_alpha, 1e-6, 1.0);
+    const double alpha = config_.ewma_alpha;
     const double loss =
         chunks_sent > 0 ? static_cast<double>(chunks_lost) /
                               static_cast<double>(chunks_sent)
@@ -110,19 +116,22 @@ RedundancyController::onFrameFeedback(int chunks_sent,
     ewma_burst_ =
         alpha * burst_sample + (1.0 - alpha) * ewma_burst_;
 
+    ewma_undelivered_ = alpha * (delivered ? 0.0 : 1.0) +
+                        (1.0 - alpha) * ewma_undelivered_;
+
     // GOP + keyframe react only to genuinely unrecoverable loss:
     // parity-absorbed damage already paid its bytes.
     if (!delivered) {
         force_key_ = true;
         clean_streak_ = 0;
-        gop_size_ = std::max(gop_size_ / 2,
-                             std::max(config_.min_gop_size, 1));
+        gop_size_ = std::max(gop_size_ / 2, config_.min_gop_size);
         return;
     }
-    if (++clean_streak_ >= std::max(config_.grow_after_clean, 1)) {
+    if (++clean_streak_ >= config_.grow_after_clean &&
+        ewma_undelivered_ < kGrowBelowUndelivered &&
+        gop_size_ < config_.max_gop_size) {
         clean_streak_ = 0;
-        gop_size_ = std::min(gop_size_ + 1,
-                             std::max(config_.max_gop_size, 1));
+        ++gop_size_;
     }
 }
 

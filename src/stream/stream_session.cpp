@@ -373,13 +373,12 @@ struct SessionRun {
     const std::vector<VoxelCloud> &frames;
 
     const bool overload_on = session.overload.enabled;
-    /** Unified redundancy negotiation; supersedes the GOP
-     *  controller (and keyframe_on_loss) when enabled. */
+    /** RS k/m and bitrate negotiation; the loss controller's GOP
+     *  and keyframe rules run either way. */
     const bool redundancy_on = session.redundancy.enabled;
     VideoEncoder encoder{codec};
     LossyChannel channel{session.channel};
     StreamReceiver receiver;
-    AdaptiveGopController gop{session.gop, codec.gop_size};
     RedundancyController redundancy{
         session.redundancy, codec.gop_size,
         codec.block_match.reuse_threshold};
@@ -397,7 +396,6 @@ struct SessionRun {
     std::uint32_t next_sequence = 0;
     std::uint32_t gop_id = 0;
     std::uint16_t next_fec_group = 0;
-    bool force_key = false;
     /** Channel stats at the last loss report: the redundancy
      *  controller's per-frame loss/burst feedback is their delta
      *  (the deterministic stand-in for a receiver loss report). */
@@ -496,11 +494,9 @@ struct SessionRun {
                 static_cast<std::size_t>(clock_s * fps + 1e-9));
             slot.queue_depth = static_cast<int>(last_arrived - f);
             slot.queue_delay_s = clock_s - arrival;
-            const std::size_t admitted =
-                static_cast<std::size_t>(
-                    std::max(session.overload.queue_capacity, 0)) +
-                1;
-            if (last_arrived - f + 1 > admitted) {
+            const auto capacity = static_cast<std::size_t>(
+                session.overload.queue_capacity);
+            if (last_arrived - f > capacity) {
                 ladderRecord(slot, OverloadEvent::kQueueDrop);
                 ++overload.queue_drops;
                 return false;
@@ -555,45 +551,36 @@ struct SessionRun {
     }
 
     /**
-     * The redundancy controller's decision for this frame, applied
-     * to the encoder: the bitrate rung, the GOP length and any
-     * forced keyframe. Without the controller, the adaptive GOP
-     * controller sets the GOP length. The inter-only rung pins the
-     * GOP.
+     * The loss controller's decision for this frame, applied to the
+     * encoder: the bitrate rung (when negotiation is enabled), the
+     * GOP length and any forced keyframe. The inter-only rung pins
+     * the GOP.
      */
     RedundancyDecision
     negotiate(OverloadRung rung)
     {
-        RedundancyDecision negotiated;
-        const bool gop_free =
-            !overload_on || rung < OverloadRung::kInterOnly;
-        if (redundancy_on) {
-            negotiated = redundancy.decide();
-            if (negotiated.reuse_threshold >= 0.0) {
-                // Bitrate rung: steer P-frame payloads toward the
-                // post-parity budget. Re-applied every frame — the
-                // overload rung switch replaces the codec config
-                // wholesale.
-                CodecConfig tuned =
-                    overload_on && applied_any_rung
-                        ? OverloadController::configForRung(
-                              codec, applied_rung, session.overload)
-                        : codec;
-                tuned.block_match.reuse_threshold =
-                    negotiated.reuse_threshold;
-                encoder.updateCoding(tuned);
-            }
-            if (gop_free)
-                encoder.setGopSize(negotiated.gop_size);
-            if (redundancy.consumeForcedKeyframe())
-                force_key = true;
-        } else if (session.adaptive_gop && gop_free) {
-            encoder.setGopSize(gop.gopSize());
+        const RedundancyDecision negotiated = redundancy.decide();
+        if (redundancy_on && negotiated.reuse_threshold >= 0.0) {
+            // Bitrate rung: steer P-frame payloads toward the
+            // post-parity budget. Re-applied every frame — the
+            // overload rung switch replaces the codec config
+            // wholesale.
+            CodecConfig tuned =
+                overload_on && applied_any_rung
+                    ? OverloadController::configForRung(
+                          codec, applied_rung, session.overload)
+                    : codec;
+            tuned.block_match.reuse_threshold =
+                negotiated.reuse_threshold;
+            encoder.updateCoding(tuned);
         }
-        if (force_key) {
+        if (!overload_on || rung < OverloadRung::kInterOnly)
+            encoder.setGopSize(negotiated.gop_size);
+        if (redundancy.consumeForcedKeyframe()) {
+            // Unrecovered loss: re-anchor so a lost I frame cannot
+            // poison the rest of its GOP.
             encoder.forceKeyframe();
             ++report.stats.keyframes_forced;
-            force_key = false;
         }
         return negotiated;
     }
@@ -799,22 +786,10 @@ struct SessionRun {
              const FrameSendInfo &info)
     {
         const bool delivered = receiver.hasFrame(frame_id);
-        if (delivered) {
+        if (delivered)
             ++report.stats.frames_delivered;
-        } else {
+        else
             ++report.stats.frames_lost;
-            // Unrecovered loss: re-anchor at the next frame so a
-            // lost I frame cannot poison the rest of its GOP. Under
-            // the redundancy controller that decision is its
-            // keyframe rule (unrecoverable loss only).
-            if (session.keyframe_on_loss && !redundancy_on)
-                force_key = true;
-        }
-        if (!redundancy_on) {
-            if (session.adaptive_gop)
-                gop.onFrameDelivery(delivered);
-            return;
-        }
         // Loss report from the channel-stat deltas of this frame's
         // sends (data + parity + retransmits). Using channel truth —
         // not post-recovery receiver state — keeps the burst
@@ -837,7 +812,8 @@ struct SessionRun {
             static_cast<int>(ch.chunks_in - reported.chunks_in),
             static_cast<int>(lost_d), max_burst, delivered);
         reported = ch;
-        redundancy.onEncodedFrame(type, info.payload_bytes);
+        if (redundancy_on)
+            redundancy.onEncodedFrame(type, info.payload_bytes);
     }
 
     /** Flushes the channel, decodes the stream and attaches each
@@ -968,6 +944,16 @@ validateSessionConfig(const SessionConfig &config)
     }
 
     const RedundancyConfig &red = config.redundancy;
+    if (red.min_gop_size < 1 || red.max_gop_size < red.min_gop_size)
+        return invalidArgument(
+            "SessionConfig: redundancy GOP bounds invalid (need 1 <= "
+            "min_gop_size <= max_gop_size)");
+    if (red.grow_after_clean < 1)
+        return invalidArgument(
+            "SessionConfig: redundancy.grow_after_clean must be >= 1");
+    if (!(red.ewma_alpha > 0.0 && red.ewma_alpha <= 1.0))
+        return invalidArgument(
+            "SessionConfig: redundancy.ewma_alpha must be in (0, 1]");
     if (red.enabled) {
         if (!fec.enabled || fec.scheme != FecScheme::kReedSolomon)
             return invalidArgument(
@@ -993,6 +979,16 @@ validateSessionConfig(const SessionConfig &config)
                 "SessionConfig: redundancy max_parity_share must "
                 "be in (0, 1)");
     }
+
+    const OverloadConfig &overload = config.overload;
+    if (overload.enabled &&
+        (overload.queue_capacity < 0 || overload.target_fps < 0.0 ||
+         overload.deadline_s < 0.0 || overload.coarse_drop_bits < 0 ||
+         !(overload.stage_soft_timeout_fraction > 0.0)))
+        return invalidArgument(
+            "SessionConfig: overload queue_capacity, target_fps, "
+            "deadline_s and coarse_drop_bits must be >= 0 and "
+            "stage_soft_timeout_fraction > 0");
     return Status();
 }
 

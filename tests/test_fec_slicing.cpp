@@ -629,7 +629,9 @@ TEST(SessionFec, InterleaveSpreadsBurstAcrossGroups)
     contiguous.fec.enabled = true;
     contiguous.fec.group_size = 4;
     contiguous.max_retransmits = 0;
-    contiguous.adaptive_gop = false;
+    contiguous.redundancy.min_gop_size =
+        contiguous.redundancy.max_gop_size =
+            makeIntraInterV1Config().gop_size;
 
     SessionConfig interleaved = contiguous;
     interleaved.fec_interleave = 4;

@@ -304,7 +304,9 @@ SessionConfig
 overloadSession(double deadline_s, const LoadSpec &load)
 {
     SessionConfig session;
-    session.adaptive_gop = false;
+    // Both codecs these tests run keep the default GOP length.
+    session.redundancy.min_gop_size =
+        session.redundancy.max_gop_size = CodecConfig{}.gop_size;
     session.overload.enabled = true;
     session.overload.deadline_s = deadline_s;
     session.overload.target_fps = 30.0;
@@ -480,7 +482,8 @@ TEST(OverloadLadderTest, IdleLoadNeverEngagesAndKeepsWireBytes)
     const CodecConfig codec = makeIntraInterV1Config();
 
     SessionConfig off;
-    off.adaptive_gop = false;
+    off.redundancy.min_gop_size = off.redundancy.max_gop_size =
+        codec.gop_size;
     StreamSession plain(codec, off);
     auto baseline = plain.run(frames);
     ASSERT_TRUE(baseline.hasValue());

@@ -110,22 +110,22 @@ TEST(ParallelStress, NestedParallelForDoesNotDeadlock)
 
 TEST(ParallelStress, SubmitAndWaitFromManyThreads)
 {
-    ThreadPool pool(4);
     std::atomic<int> counter{0};
-    std::vector<std::thread> producers;
-    for (int p = 0; p < 4; ++p) {
-        producers.emplace_back([&pool, &counter] {
-            for (int i = 0; i < 200; ++i)
-                pool.submit([&counter] {
-                    counter.fetch_add(1,
-                                      std::memory_order_relaxed);
-                });
-            pool.wait();
-        });
-    }
-    for (auto &producer : producers)
-        producer.join();
-    pool.wait();
+    {
+        ThreadPool pool(4);
+        std::vector<std::thread> producers;
+        for (int p = 0; p < 4; ++p) {
+            producers.emplace_back([&pool, &counter] {
+                for (int i = 0; i < 200; ++i)
+                    pool.submit([&counter] {
+                        counter.fetch_add(1,
+                                          std::memory_order_relaxed);
+                    });
+            });
+        }
+        for (auto &producer : producers)
+            producer.join();
+    }  // the destructor drains the queue before joining
     EXPECT_EQ(counter.load(), 800);
 }
 

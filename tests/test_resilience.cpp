@@ -479,39 +479,47 @@ TEST_F(LadderTest, NackListMatchesMissingFrames)
 }
 
 // -----------------------------------------------------------------
-// Adaptive GOP controller
+// Loss controller: the GOP rule
 // -----------------------------------------------------------------
 
-TEST(AdaptiveGop, SustainedLossShrinksGop)
+/** Feeds one frame's delivery outcome as a one-chunk frame. */
+void
+feedDelivery(RedundancyController &ctrl, bool delivered)
 {
-    AdaptiveGopController gop(AdaptiveGopConfig{}, 12);
-    for (int i = 0; i < 10; ++i)
-        gop.onFrameDelivery(false);
-    EXPECT_EQ(gop.gopSize(), 1);
-    EXPECT_GT(gop.estimatedLoss(), 0.5);
+    const int lost = delivered ? 0 : 1;
+    ctrl.onFrameFeedback(1, lost, lost, delivered);
 }
 
-TEST(AdaptiveGop, CleanChannelGrowsBack)
+TEST(LossController, SustainedLossShrinksGop)
 {
-    AdaptiveGopConfig config;
-    AdaptiveGopController gop(config, 12);
+    RedundancyController ctrl(RedundancyConfig{}, 12, 15.0);
     for (int i = 0; i < 10; ++i)
-        gop.onFrameDelivery(false);
-    ASSERT_EQ(gop.gopSize(), config.min_gop_size);
+        feedDelivery(ctrl, false);
+    EXPECT_EQ(ctrl.decide().gop_size, 1);
+    EXPECT_GT(ctrl.estimatedLoss(), 0.5);
+}
+
+TEST(LossController, CleanChannelGrowsBack)
+{
+    RedundancyConfig config;
+    RedundancyController ctrl(config, 12, 15.0);
+    for (int i = 0; i < 10; ++i)
+        feedDelivery(ctrl, false);
+    ASSERT_EQ(ctrl.decide().gop_size, config.min_gop_size);
     for (int i = 0; i < 200; ++i)
-        gop.onFrameDelivery(true);
-    EXPECT_EQ(gop.gopSize(), config.max_gop_size);
-    EXPECT_LT(gop.estimatedLoss(), config.low_loss);
+        feedDelivery(ctrl, true);
+    EXPECT_EQ(ctrl.decide().gop_size, config.max_gop_size);
+    EXPECT_LT(ctrl.estimatedLoss(), 0.02);
 }
 
-TEST(AdaptiveGop, SporadicLossHoldsSteady)
+TEST(LossController, SporadicLossHoldsSteady)
 {
-    AdaptiveGopConfig config;
-    AdaptiveGopController gop(config, 3);
-    // One loss in fifty: EWMA stays under the high watermark.
+    RedundancyController ctrl(RedundancyConfig{}, 3, 15.0);
+    // One loss in fifty: every loss halves the GOP, and the 49
+    // clean frames that follow grow it back past where it started.
     for (int i = 0; i < 150; ++i)
-        gop.onFrameDelivery(i % 50 != 0);
-    EXPECT_GE(gop.gopSize(), 3);
+        feedDelivery(ctrl, i % 50 != 0);
+    EXPECT_GE(ctrl.decide().gop_size, 3);
 }
 
 // -----------------------------------------------------------------
@@ -524,7 +532,8 @@ TEST(StreamSession, CleanChannelAllOkAndByteIdentical)
     const CodecConfig codec = makeIntraInterV1Config();
     SessionConfig session;
     session.channel = ChannelSpec::clean();
-    session.adaptive_gop = false;
+    session.redundancy.min_gop_size = session.redundancy.max_gop_size =
+        codec.gop_size;
 
     StreamSession stream(codec, session);
     auto report = stream.run(frames);
@@ -559,7 +568,8 @@ TEST(StreamSession, RetransmissionRecoversDroppedChunks)
     session.channel.drop_rate = 0.4;
     session.channel.seed = 13;
     session.max_retransmits = 6;  // enough that loss ~0.4^7 ~ 0
-    session.adaptive_gop = false;
+    session.redundancy.min_gop_size = session.redundancy.max_gop_size =
+        makeIntraInterV1Config().gop_size;
 
     StreamSession stream(makeIntraInterV1Config(), session);
     auto report = stream.run(frames);
@@ -578,8 +588,8 @@ TEST(StreamSession, UnrecoveredLossForcesKeyframe)
     session.channel.drop_rate = 0.5;
     session.channel.seed = 3;
     session.max_retransmits = 0;  // every drop is unrecovered
-    session.adaptive_gop = false;
-    session.keyframe_on_loss = true;
+    session.redundancy.min_gop_size = session.redundancy.max_gop_size =
+        makeIntraInterV1Config().gop_size;
 
     StreamSession stream(makeIntraInterV1Config(), session);
     auto report = stream.run(frames);

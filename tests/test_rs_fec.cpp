@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <optional>
 #include <vector>
@@ -412,10 +413,17 @@ TEST(Redundancy, KeyframeAndGopReactOnlyToUnrecoverableLoss)
     EXPECT_EQ(ctrl.decide().gop_size, 4);
     EXPECT_TRUE(ctrl.consumeForcedKeyframe());
     EXPECT_FALSE(ctrl.consumeForcedKeyframe());  // consumed
-    // Clean streak grows the GOP back one step at a time.
+    // The GOP grows back only once the undelivered-frame EWMA (0.25
+    // after the loss) is below 2%: nine clean frames, although
+    // grow_after_clean is 3. Then one step per 3 clean frames.
+    for (int i = 0; i < 8; ++i)
+        ctrl.onFrameFeedback(20, 0, 0, true);
+    EXPECT_EQ(ctrl.decide().gop_size, 4);
+    ctrl.onFrameFeedback(20, 0, 0, true);
+    EXPECT_EQ(ctrl.decide().gop_size, 5);
     for (int i = 0; i < 3; ++i)
         ctrl.onFrameFeedback(20, 0, 0, true);
-    EXPECT_EQ(ctrl.decide().gop_size, 5);
+    EXPECT_EQ(ctrl.decide().gop_size, 6);
 }
 
 TEST(Redundancy, PayloadBudgetDiscountsParityShare)
@@ -544,6 +552,82 @@ TEST(SessionValidation, RejectsNegativeRetryKnobs)
     config.max_retransmits = 0;
     config.backoff_ms = -2.0;
     EXPECT_FALSE(validateSessionConfig(config).isOk());
+}
+
+/** True when `config` fails validation with INVALID_ARGUMENT. */
+bool
+rejected(const SessionConfig &config)
+{
+    return validateSessionConfig(config).code() ==
+           StatusCode::kInvalidArgument;
+}
+
+/** The GOP rule runs in every session, so its fields are checked
+ *  with redundancy.enabled == false as well. */
+TEST(SessionValidation, RejectsBadGopFieldsInEverySession)
+{
+    const SessionConfig ok;
+    ASSERT_FALSE(ok.redundancy.enabled);
+    SessionConfig config = ok;
+    config.redundancy.min_gop_size = 0;
+    EXPECT_TRUE(rejected(config));
+    config.redundancy.min_gop_size = 5;
+    config.redundancy.max_gop_size = 4;
+    EXPECT_TRUE(rejected(config));
+    config.redundancy.max_gop_size = 5;  // a pinned GOP is fine
+    EXPECT_TRUE(validateSessionConfig(config).isOk());
+
+    config = ok;
+    config.redundancy.grow_after_clean = 0;
+    EXPECT_TRUE(rejected(config));
+
+    for (const double alpha :
+         {0.0, -0.25, 1.5, std::numeric_limits<double>::quiet_NaN()}) {
+        config = ok;
+        config.redundancy.ewma_alpha = alpha;
+        EXPECT_TRUE(rejected(config)) << alpha;
+    }
+    config.redundancy.ewma_alpha = 1.0;
+    EXPECT_TRUE(validateSessionConfig(config).isOk());
+}
+
+TEST(SessionValidation, RejectsNegativeOverloadKnobs)
+{
+    SessionConfig ok;
+    ok.overload.enabled = true;
+    ASSERT_TRUE(validateSessionConfig(ok).isOk());
+    const auto rejectedWith = [&ok](auto change) {
+        SessionConfig config = ok;
+        change(config.overload);
+        return rejected(config);
+    };
+    EXPECT_TRUE(
+        rejectedWith([](OverloadConfig &o) { o.queue_capacity = -1; }));
+    EXPECT_TRUE(
+        rejectedWith([](OverloadConfig &o) { o.target_fps = -30.0; }));
+    EXPECT_TRUE(
+        rejectedWith([](OverloadConfig &o) { o.deadline_s = -0.01; }));
+    EXPECT_TRUE(
+        rejectedWith([](OverloadConfig &o) { o.coarse_drop_bits = -1; }));
+    EXPECT_TRUE(rejectedWith(
+        [](OverloadConfig &o) { o.stage_soft_timeout_fraction = 0.0; }));
+    EXPECT_TRUE(rejectedWith(
+        [](OverloadConfig &o) { o.stage_soft_timeout_fraction = -0.5; }));
+
+    // Zero is valid for the first four: no queue beyond the frame
+    // being encoded, no arrival cadence, no explicit deadline (the
+    // budget derives from target_fps), no coarse-geometry drop.
+    SessionConfig zeros = ok;
+    zeros.overload.queue_capacity = 0;
+    zeros.overload.target_fps = 0.0;
+    zeros.overload.deadline_s = 0.0;
+    zeros.overload.coarse_drop_bits = 0;
+    EXPECT_TRUE(validateSessionConfig(zeros).isOk());
+
+    // A disabled overload subsystem never reads its knobs.
+    SessionConfig off;
+    off.overload.queue_capacity = -1;
+    EXPECT_TRUE(validateSessionConfig(off).isOk());
 }
 
 }  // namespace

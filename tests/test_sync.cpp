@@ -209,12 +209,13 @@ TEST(Sync, StageStatsAggregatorMovePreservesState)
 
 TEST(Sync, ThreadPoolDrainsUnderAnnotatedLocking)
 {
-    ThreadPool pool(4);
     std::atomic<int> done{0};
     constexpr int kTasks = 200;
-    for (int i = 0; i < kTasks; ++i)
-        pool.submit([&] { ++done; });
-    pool.wait();
+    {
+        ThreadPool pool(4);
+        for (int i = 0; i < kTasks; ++i)
+            pool.submit([&] { ++done; });
+    }  // the destructor drains the queue before joining
     EXPECT_EQ(done.load(), kTasks);
 }
 

@@ -292,7 +292,9 @@ runOverload(const std::vector<VoxelCloud> &frames,
         return load.status();
 
     SessionConfig session;
-    session.adaptive_gop = false;  // isolate the deadline ladder
+    // Pin the GOP to isolate the deadline ladder.
+    session.redundancy.min_gop_size = config.gop_size;
+    session.redundancy.max_gop_size = config.gop_size;
     session.overload.enabled = true;
     session.overload.deadline_s = deadline_ms * 1e-3;
     session.overload.load = *load;

@@ -40,7 +40,9 @@ libclang dependency, so it runs anywhere Python does):
                    the function that holds them)
 
 Findings already recorded in tools/edgepcc_lint_baseline.json are
-ratcheted: they do not fail the build, but new ones do. Fix new
+ratcheted: they do not fail the build, but new ones do, and so does a
+stale entry (a baselined finding that no longer fires in a checked
+file), so a fixed finding cannot come back unseen. Fix new
 findings, or — for deliberate exceptions — suppress a single line
 with a trailing or preceding comment:
 
@@ -56,8 +58,8 @@ Usage:
   python3 tools/edgepcc_lint.py --update-baseline
   python3 tools/edgepcc_lint.py --self-test    # run built-in cases
 
-Exit codes: 0 clean (or baseline-covered), 1 new findings,
-2 usage/internal error.
+Exit codes: 0 clean (or baseline-covered), 1 new findings or stale
+baseline entries, 2 usage/internal error.
 """
 
 from __future__ import annotations
@@ -560,6 +562,20 @@ def save_baseline(path: str, findings: list[Finding]) -> None:
         f.write("\n")
 
 
+def split_against_baseline(findings: list[Finding], baseline: set[str],
+                           checked: list[str] | None):
+    """Returns (new findings, stale baseline entries). An entry is
+    stale when no finding matches it. With an explicit `checked` file
+    list, entries for files outside it are left alone; a whole-repo
+    run (None) also flags entries for files that no longer exist."""
+    new = [f for f in findings if f.fingerprint not in baseline]
+    fired = {f.fingerprint for f in findings}
+    stale = {fp for fp in baseline
+             if fp not in fired and
+             (checked is None or fp.split(":", 1)[0] in checked)}
+    return new, stale
+
+
 # ---------------------------------------------------------------- self-test
 
 SELF_TEST_CASES = [
@@ -654,8 +670,26 @@ SELF_TEST_CASES = [
 ]
 
 
+def self_test_stale_baseline() -> bool:
+    """A baselined finding that no longer fires in a checked file is
+    stale; one whose file was not checked is not."""
+    fired = lint_file("src/morton/bad_unit.cpp", "void f()\n{\n}\n")
+    fixed = "src/morton/bad_unit.cpp:naked-alloc"
+    unchecked = "src/morton/unchecked.cpp:trace-span"
+    baseline = {fired[0].fingerprint, fixed, unchecked}
+    _, stale_subset = split_against_baseline(
+        fired, baseline, ["src/morton/bad_unit.cpp"])
+    new, stale_repo = split_against_baseline(fired, baseline, None)
+    ok = (not new and stale_subset == {fixed}
+          and stale_repo == {fixed, unchecked})
+    if not ok:
+        print(f"SELF-TEST FAIL [stale-baseline]: new={new} "
+              f"subset={sorted(stale_subset)} repo={sorted(stale_repo)}")
+    return ok
+
+
 def run_self_test() -> int:
-    failures = 0
+    failures = 0 if self_test_stale_baseline() else 1
     for rule, path, source, expected in SELF_TEST_CASES:
         found = [f for f in lint_file(path, source) if f.rule == rule]
         if len(found) != expected:
@@ -664,7 +698,7 @@ def run_self_test() -> int:
                   f"{expected} finding(s), got {len(found)}:")
             for f in found:
                 print(f"  {f.path}:{f.line}: {f.message}")
-    total = len(SELF_TEST_CASES)
+    total = len(SELF_TEST_CASES) + 1
     if failures:
         print(f"self-test: {failures}/{total} cases failed")
         return 1
@@ -722,8 +756,8 @@ def main(argv=None) -> int:
         return 0
 
     baseline = set() if args.no_baseline else load_baseline(args.baseline)
-    new = [f for f in findings if f.fingerprint not in baseline]
-    stale = baseline - {f.fingerprint for f in findings}
+    new, stale = split_against_baseline(
+        findings, baseline, rel_paths if args.paths else None)
 
     if args.json:
         print(json.dumps({
@@ -734,16 +768,16 @@ def main(argv=None) -> int:
     else:
         for f in sorted(new, key=lambda f: (f.path, f.line)):
             print(f"{f.path}:{f.line}: [{f.rule}] {f.message}")
-        if stale:
-            print(f"note: {len(stale)} baseline entr"
-                  f"{'y is' if len(stale) == 1 else 'ies are'} stale "
-                  "(fixed findings); run --update-baseline to shrink "
-                  "the ratchet")
+        for fp in sorted(stale):
+            print(f"{fp}: [stale-baseline] finding no longer fires; "
+                  "remove the entry (or run --update-baseline)")
         covered = len(findings) - len(new)
         print(f"edgepcc_lint: {len(new)} new finding(s), "
+              f"{len(stale)} stale baseline entr"
+              f"{'y' if len(stale) == 1 else 'ies'}, "
               f"{covered} baseline-covered, "
               f"{len(rel_paths)} file(s) checked")
-    return 1 if new else 0
+    return 1 if new or stale else 0
 
 
 if __name__ == "__main__":
