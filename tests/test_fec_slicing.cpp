@@ -933,10 +933,10 @@ frameLetters(const SessionReport &report, bool outcomes)
 }
 
 /**
- * Pins 40-frame V1 sessions at the default SessionConfig, whose loss
- * controller frees the GOP: every undelivered frame halves it and
- * forces a keyframe, and a clean run grows it back one frame at a
- * time. On each channel (15% uniform loss without FEC, and 3-chunk
+ * Pins 40-frame V1 sessions whose loss controller runs at its
+ * default settings, which free the GOP: every undelivered frame
+ * halves it and forces a keyframe, and a clean run grows it back one
+ * frame at a time. On each channel (15% uniform loss without FEC, and 3-chunk
  * bursts with XOR k=6, both at MTU 300) the GOP both halves (runs of
  * I frames) and grows back (P runs lengthen again) within the run,
  * so a change to either rule moves the I/P string.
