@@ -6,8 +6,11 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "edgepcc/common/rng.h"
+#include "edgepcc/core/codec_config.h"
 #include "edgepcc/morton/morton.h"
 
 namespace edgepcc {
@@ -388,6 +391,113 @@ TEST(GeometryCodec, RecordsGeometryStages)
     for (const auto &stage : profile.stages)
         has_build |= stage.name == "geom.build";
     EXPECT_TRUE(has_build);
+}
+
+/** Seeded cloud in a sub-box of a 10-bit grid (so the tight bbox
+ *  shrinks the tree) with every seventh point repeated under a new
+ *  color (so deduplication drops points). */
+VoxelCloud
+pinnedCloud()
+{
+    Rng rng(77);
+    VoxelCloud cloud(10);
+    for (int i = 0; i < 3000; ++i) {
+        const auto x = static_cast<std::uint16_t>(100 + rng.bounded(300));
+        const auto y = static_cast<std::uint16_t>(200 + rng.bounded(150));
+        const auto z = static_cast<std::uint16_t>(50 + rng.bounded(400));
+        cloud.add(x, y, z, static_cast<std::uint8_t>(i), 1, 2);
+        if (i % 7 == 0)
+            cloud.add(x, y, z, 9, 9, 9);
+    }
+    return cloud;
+}
+
+/** Every stage and kernel record of `profile`, one line each, with
+ *  the integer fields only (model seconds are float sums). */
+std::vector<std::string>
+modelRecords(const PipelineProfile &profile)
+{
+    std::vector<std::string> lines;
+    for (const StageProfile &stage : profile.stages) {
+        lines.push_back("stage " + stage.name);
+        for (const KernelWork &k : stage.kernels) {
+            lines.push_back(
+                k.name + " " + execResourceName(k.resource) + " " +
+                std::to_string(k.invocations) + " " +
+                std::to_string(k.items) + " " +
+                std::to_string(k.ops) + " " +
+                std::to_string(k.bytes));
+        }
+    }
+    return lines;
+}
+
+/** Encode and decode model records for `config` on pinnedCloud(). */
+std::vector<std::string>
+roundTripRecords(const GeometryConfig &config)
+{
+    WorkRecorder encode_recorder;
+    auto encoded =
+        encodeGeometry(pinnedCloud(), config, &encode_recorder);
+    EXPECT_TRUE(encoded.hasValue());
+    if (!encoded)
+        return {};
+    WorkRecorder decode_recorder;
+    EXPECT_TRUE(
+        decodeGeometry(encoded->payload, &decode_recorder).hasValue());
+    std::vector<std::string> lines =
+        modelRecords(encode_recorder.takeProfile());
+    for (std::string &line :
+         modelRecords(decode_recorder.takeProfile()))
+        lines.push_back(std::move(line));
+    return lines;
+}
+
+// The device model prices these records; a host-side rewrite of the
+// geometry path must leave every one of them as it is.
+TEST(GeometryCodec, PinnedModelRecords)
+{
+    EXPECT_EQ(roundTripRecords(makeIntraOnlyConfig().geometry),
+              (std::vector<std::string>{
+                  "stage geom.normalize",
+                  "geom.bbox_reduce gpu 1 3429 20574 20574",
+                  "geom.requant gpu 1 3429 20574 41148",
+                  "stage geom.morton",
+                  "morton.generate gpu 1 3429 61722 61722",
+                  "morton.sort gpu 4 3429 54864 329184",
+                  "stage geom.build",
+                  "morton.gather gpu 1 3429 20574 61722",
+                  "geom.dedup gpu 1 3429 10287 58293",
+                  "octree.par_levels gpu 10 14806 86025 355344",
+                  "octree.par_parents gpu 9 14806 88830 177672",
+                  "octree.occupancy_merge gpu 1 14805 44415 148050",
+                  "stage geom.post",
+                  "stage geomdec.parse",
+                  "geomdec.parse cpu-seq 1 11806 11806 11820",
+                  "geomdec.expand gpu 9 11806 118060 35806",
+                  "geomdec.dequant gpu 1 3000 72000 42000",
+              }));
+
+    GeometryConfig contextual = parallelConfig(false);
+    contextual.contextual_entropy = true;
+    EXPECT_EQ(roundTripRecords(contextual),
+              (std::vector<std::string>{
+                  "stage geom.morton",
+                  "morton.generate gpu 1 3429 61722 61722",
+                  "morton.sort gpu 4 3429 54864 329184",
+                  "stage geom.build",
+                  "morton.gather gpu 1 3429 20574 61722",
+                  "geom.dedup gpu 1 3429 10287 58293",
+                  "octree.par_levels gpu 11 14893 86460 357432",
+                  "octree.par_parents gpu 10 14893 89352 178716",
+                  "octree.occupancy_merge gpu 1 14892 44676 148920",
+                  "stage geom.post",
+                  "geom.entropy cpu-seq 1 11893 333004 17669",
+                  "stage geomdec.parse",
+                  "geomdec.parse cpu-seq 1 11893 356790 5787",
+                  "geomdec.expand gpu 10 11893 118930 35893",
+                  "geomdec.dequant gpu 1 3000 72000 42000",
+              }));
 }
 
 /** Sweep: lossless roundtrip across sizes, depths, builders. */
