@@ -260,24 +260,6 @@ parallelReduce(std::size_t begin, std::size_t end, T identity,
     return result;
 }
 
-/**
- * Exclusive prefix sum over `values` (sequential; the device model
- * charges it as a log-depth GPU scan).
- * @return total sum.
- */
-template <typename T>
-T
-exclusiveScan(std::vector<T> &values)
-{
-    T running{};
-    for (auto &value : values) {
-        T next = running + value;
-        value = running;
-        running = next;
-    }
-    return running;
-}
-
 }  // namespace edgepcc
 
 #endif  // EDGEPCC_PARALLEL_PARALLEL_FOR_H

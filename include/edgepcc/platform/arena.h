@@ -127,6 +127,27 @@ class ScopedFrameArena
     FrameArena *previous_;
 };
 
+/**
+ * Scratch source for a kernel that carves several arrays: the bound
+ * frame arena inside a frame, otherwise a call-local arena whose
+ * blocks return to the heap when the ScratchArena goes out of
+ * scope. Construct it on the calling thread, before fanning out.
+ */
+class ScratchArena
+{
+  public:
+    ScratchArena() : bound_(currentFrameArena()) {}
+
+    ScratchArena(const ScratchArena &) = delete;
+    ScratchArena &operator=(const ScratchArena &) = delete;
+
+    FrameArena &get() { return bound_ != nullptr ? *bound_ : local_; }
+
+  private:
+    FrameArena *bound_;
+    FrameArena local_;
+};
+
 }  // namespace edgepcc
 
 #endif  // EDGEPCC_PLATFORM_ARENA_H

@@ -102,7 +102,6 @@ struct RedundancyDecision {
     int group_size = 4;      ///< RS k (data chunks per group)
     int parity_chunks = 1;   ///< RS m (parity rows per group)
     int gop_size = 12;
-    bool force_keyframe = false;
     /** Post-parity payload budget; 0 when coupling is off. */
     std::uint64_t payload_budget_bytes = 0;
     /** Reuse threshold for the encoder (bitrate rung); negative
@@ -117,11 +116,11 @@ class RedundancyController
                          int initial_gop_size,
                          double initial_reuse_threshold);
 
-    /** The current operating point. force_keyframe is sticky until
-     *  consumed via consumeForcedKeyframe(). */
+    /** The current operating point. */
     RedundancyDecision decide() const;
 
-    /** True exactly once per unrecoverable loss. */
+    /** True exactly once per unrecoverable loss: a forced keyframe
+     *  stays pending until this consumes it. */
     bool consumeForcedKeyframe();
 
     /**

@@ -2,17 +2,18 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cassert>
+#include <bit>
+#include <optional>
 
 #include "edgepcc/common/check.h"
 #include "edgepcc/common/trace.h"
-
 #include "edgepcc/entropy/bitstream.h"
 #include "edgepcc/entropy/range_coder.h"
 #include "edgepcc/morton/morton.h"
-#include "edgepcc/octree/parallel_builder.h"
 #include "edgepcc/octree/sequential_builder.h"
 #include "edgepcc/parallel/parallel_for.h"
+#include "edgepcc/platform/arena.h"
+#include "octree_levels.h"
 
 namespace edgepcc {
 
@@ -37,31 +38,6 @@ struct BoxParams {
     std::uint32_t min[3] = {0, 0, 0};
     int original_depth = 0;  ///< gridBits of the input cloud
 };
-
-/** Collapses duplicate codes, keeping the first point's color. */
-VoxelCloud
-dedupeSorted(const VoxelCloud &sorted,
-             const std::vector<std::uint64_t> &codes,
-             WorkRecorder *recorder)
-{
-    const std::size_t n = sorted.size();
-    VoxelCloud out(sorted.gridBits());
-    out.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        if (i > 0 && codes[i] == codes[i - 1])
-            continue;
-        out.add(sorted.x()[i], sorted.y()[i], sorted.z()[i],
-                sorted.r()[i], sorted.g()[i], sorted.b()[i]);
-    }
-    recordKernel(recorder,
-                 KernelWork{.name = "geom.dedup",
-                            .resource = ExecResource::kGpu,
-                            .invocations = 1,
-                            .items = n,
-                            .ops = n * 3,
-                            .bytes = n * (8 + 9)});
-    return out;
-}
 
 void
 writeHeader(BitWriter &writer, std::uint8_t flags, int depth,
@@ -140,6 +116,272 @@ assemblePayload(std::uint8_t flags, int depth, std::size_t num_voxels,
     return writer.take();
 }
 
+/** Per-axis coordinate bounds of one part of a cloud. */
+struct Bounds {
+    std::uint32_t lo[3];
+    std::uint32_t hi[3];
+};
+
+/**
+ * Tight-cuboid fit: reduces the bbox per part, writes the shifted
+ * coordinates into `shifted`, and returns the fitted depth.
+ */
+int
+fitTightBox(const VoxelCloud &cloud, FrameArena &arena, BoxParams &box,
+            VoxelCloud &shifted, WorkRecorder *recorder)
+{
+    const std::size_t n = cloud.size();
+    const std::uint16_t *axes[3] = {cloud.x().data(), cloud.y().data(),
+                                    cloud.z().data()};
+    auto *partials = arena.allocateArray<Bounds>(numParts(n));
+    forEachPart(n, [&](std::size_t p, std::size_t lo, std::size_t hi) {
+        Bounds part{};
+        for (int a = 0; a < 3; ++a) {
+            const std::uint16_t *v = axes[a];
+            std::uint32_t low = v[lo];
+            std::uint32_t high = v[lo];
+            for (std::size_t i = lo + 1; i < hi; ++i) {
+                low = std::min<std::uint32_t>(low, v[i]);
+                high = std::max<std::uint32_t>(high, v[i]);
+            }
+            part.lo[a] = low;
+            part.hi[a] = high;
+        }
+        partials[p] = part;
+    });
+    Bounds total = partials[0];
+    for (std::size_t p = 1; p < numParts(n); ++p) {
+        for (int a = 0; a < 3; ++a) {
+            total.lo[a] = std::min(total.lo[a], partials[p].lo[a]);
+            total.hi[a] = std::max(total.hi[a], partials[p].hi[a]);
+        }
+    }
+    std::uint32_t max_extent = 0;
+    for (int a = 0; a < 3; ++a) {
+        box.min[a] = total.lo[a];
+        max_extent = std::max(max_extent, total.hi[a] - total.lo[a]);
+    }
+    recordKernel(recorder,
+                 KernelWork{.name = "geom.bbox_reduce",
+                            .resource = ExecResource::kGpu,
+                            .invocations = 1,
+                            .items = n,
+                            .ops = n * 6,
+                            .bytes = n * 6});
+
+    // Fit the tree to the cuboid: shift out the minimum and shrink
+    // the depth to cover the largest extent.
+    shifted.resize(n);
+    std::uint16_t *out[3] = {shifted.mutableX().data(),
+                             shifted.mutableY().data(),
+                             shifted.mutableZ().data()};
+    forEachPart(n, [&](std::size_t, std::size_t lo, std::size_t hi) {
+        for (int a = 0; a < 3; ++a) {
+            const std::uint16_t *v = axes[a];
+            const auto offset = static_cast<std::uint16_t>(box.min[a]);
+            for (std::size_t i = lo; i < hi; ++i)
+                out[a][i] = static_cast<std::uint16_t>(v[i] - offset);
+        }
+    });
+    recordKernel(recorder,
+                 KernelWork{.name = "geom.requant",
+                            .resource = ExecResource::kGpu,
+                            .invocations = 1,
+                            .items = n,
+                            .ops = n * 6,
+                            .bytes = n * 12});
+    return std::max(1, bitWidth(max_extent));
+}
+
+/**
+ * The one unique pass over the sorted codes of `order`. Returns the
+ * cloud of distinct voxels in code order, gathered from the input
+ * `cloud` through the permutation: the original coordinates, and the
+ * color of the run's first point, which under the stable sort is the
+ * earliest input point.
+ */
+VoxelCloud
+uniqueLeaves(const VoxelCloud &cloud, const MortonOrder &order,
+             FrameArena &arena, WorkRecorder *recorder)
+{
+    const std::size_t n = order.codes.size();
+    const std::uint64_t *codes = order.codes.data();
+    const std::uint32_t *perm = order.perm.data();
+    const auto same_code = [codes](std::size_t i) {
+        return codes[i] == codes[i - 1];
+    };
+    std::size_t *offsets =
+        arena.allocateArray<std::size_t>(numParts(n) + 1);
+    VoxelCloud out(cloud.gridBits());
+    out.resize(countRuns(n, offsets, same_code));
+    const std::uint16_t *in_xyz[3] = {cloud.x().data(), cloud.y().data(),
+                                      cloud.z().data()};
+    const std::uint8_t *in_rgb[3] = {cloud.r().data(), cloud.g().data(),
+                                     cloud.b().data()};
+    std::uint16_t *out_xyz[3] = {out.mutableX().data(),
+                                 out.mutableY().data(),
+                                 out.mutableZ().data()};
+    std::uint8_t *out_rgb[3] = {out.mutableR().data(),
+                                out.mutableG().data(),
+                                out.mutableB().data()};
+    emitRuns(n, offsets, same_code,
+             [&](std::size_t run, std::size_t begin, std::size_t) {
+                 const std::uint32_t src = perm[begin];
+                 for (int a = 0; a < 3; ++a) {
+                     out_xyz[a][run] = in_xyz[a][src];
+                     out_rgb[a][run] = in_rgb[a][src];
+                 }
+             });
+    // The device runs the gather and the dedup as two kernels.
+    recordKernel(recorder,
+                 KernelWork{.name = "morton.gather",
+                            .resource = ExecResource::kGpu,
+                            .invocations = 1,
+                            .items = n,
+                            .ops = n * 6,
+                            .bytes = n * 2 * 9});
+    recordKernel(recorder,
+                 KernelWork{.name = "geom.dedup",
+                            .resource = ExecResource::kGpu,
+                            .invocations = 1,
+                            .items = n,
+                            .ops = n * 3,
+                            .bytes = n * (8 + 9)});
+    return out;
+}
+
+/** The breadth-first occupancy stream: the branch levels' bytes
+ *  concatenated, root first. */
+std::vector<std::uint8_t>
+breadthFirstStream(const OctreeLevels &levels)
+{
+    std::vector<std::uint8_t> stream;
+    stream.reserve(levels.branchNodes());
+    for (int level = 0; level < levels.depth; ++level) {
+        const auto l = static_cast<std::size_t>(level);
+        stream.insert(stream.end(), levels.occupancy[l],
+                      levels.occupancy[l] + levels.counts[l]);
+    }
+    return stream;
+}
+
+/** Each stream byte's parent byte (0 for the root), from linked
+ *  levels: the input to contextual entropy coding. */
+std::vector<std::uint8_t>
+parentContexts(const OctreeLevels &levels,
+               const std::vector<std::uint8_t> &stream)
+{
+    std::vector<std::uint8_t> contexts(stream.size(), 0);
+    std::size_t parent_base = 0;
+    std::size_t base = 1;
+    for (int level = 1; level < levels.depth; ++level) {
+        const auto l = static_cast<std::size_t>(level);
+        for (std::size_t i = 0; i < levels.counts[l]; ++i)
+            contexts[base + i] = stream[parent_base + levels.parent[l][i]];
+        parent_base = base;
+        base += levels.counts[l];
+    }
+    return contexts;
+}
+
+/**
+ * Stages geom.normalize (tight bbox only) and geom.morton: fits the
+ * box and the depth, then sorts the (shifted) cloud by Morton code.
+ */
+MortonOrder
+mortonOrderCloud(const VoxelCloud &cloud, bool tight, FrameArena &arena,
+                 BoxParams &box, int &depth, WorkRecorder *recorder)
+{
+    VoxelCloud shifted(cloud.gridBits());
+    if (tight) {
+        ScopedStage stage(recorder, "geom.normalize");
+        depth = fitTightBox(cloud, arena, box, shifted, recorder);
+    }
+    ScopedStage stage(recorder, "geom.morton");
+    return computeMortonOrder(tight ? shifted : cloud, recorder);
+}
+
+/** The proposed pipeline (Fig. 4c): normalize, Morton order, one
+ *  unique pass, the level kernel bottom-up, breadth-first stream. */
+Expected<GeometryEncoded>
+encodeParallel(const VoxelCloud &cloud, const GeometryConfig &config,
+               std::uint8_t flags, WorkRecorder *recorder)
+{
+    ScratchArena scratch;
+    FrameArena &arena = scratch.get();
+    GeometryEncoded result;
+    BoxParams box;
+    box.original_depth = cloud.gridBits();
+    result.depth = cloud.gridBits();
+    MortonOrder order = mortonOrderCloud(cloud, config.tight_bbox, arena,
+                                         box, result.depth, recorder);
+
+    std::vector<std::uint8_t> occupancy;
+    std::vector<std::uint8_t> contexts;
+    {
+        ScopedStage stage(recorder, "geom.build");
+        ScopedTrace trace("octree.build_levels");
+        result.sorted_cloud = uniqueLeaves(cloud, order, arena, recorder);
+        result.num_voxels = result.sorted_cloud.size();
+        const OctreeLevels levels = buildBranchLevels(
+            order.codes.data(), order.codes.size(), result.depth, arena,
+            config.contextual_entropy);
+        order = MortonOrder{};  // spent: free it before the stream
+        const std::size_t total = levels.branchNodes() + result.num_voxels;
+        recordLevelBuild(recorder, result.num_voxels, total,
+                         result.depth);
+        recordOccupancyMerge(recorder, total);
+        occupancy = breadthFirstStream(levels);
+        if (config.contextual_entropy)
+            contexts = parentContexts(levels, occupancy);
+    }
+    {
+        ScopedStage stage(recorder, "geom.post");
+        result.payload = assemblePayload(
+            flags, result.depth, result.num_voxels,
+            config.tight_bbox ? &box : nullptr, occupancy,
+            config.contextual_entropy ? &contexts : nullptr, recorder);
+    }
+    return result;
+}
+
+/** The sequential baseline (Fig. 4a): point-by-point insertion and a
+ *  depth-first stream. */
+Expected<GeometryEncoded>
+encodeSequential(const VoxelCloud &cloud, const GeometryConfig &config,
+                 std::uint8_t flags, WorkRecorder *recorder)
+{
+    GeometryEncoded result;
+    result.depth = cloud.gridBits();
+    std::vector<std::uint8_t> occupancy;
+    std::vector<std::uint8_t> contexts;
+    {
+        ScopedStage stage(recorder, "geom.build");
+        const PointerOctree tree = buildSequentialOctree(cloud, recorder);
+        ScopedStage serialize_stage(recorder, "geom.serialize");
+        occupancy = serializeDepthFirst(
+            tree, recorder,
+            config.contextual_entropy ? &contexts : nullptr);
+    }
+    // The attribute stage needs the Morton-sorted unique cloud; in
+    // TMC13 this ordering falls out of the octree itself, so its cost
+    // is part of the RAHT calibration and is not recorded here.
+    {
+        const MortonOrder order = computeMortonOrder(cloud, nullptr);
+        ScratchArena scratch;
+        result.sorted_cloud =
+            uniqueLeaves(cloud, order, scratch.get(), nullptr);
+        result.num_voxels = result.sorted_cloud.size();
+    }
+    {
+        ScopedStage stage(recorder, "geom.post");
+        result.payload = assemblePayload(
+            flags, result.depth, result.num_voxels, nullptr, occupancy,
+            config.contextual_entropy ? &contexts : nullptr, recorder);
+    }
+    return result;
+}
+
 }  // namespace
 
 Expected<GeometryEncoded>
@@ -150,181 +392,19 @@ encodeGeometry(const VoxelCloud &cloud, const GeometryConfig &config,
     if (cloud.empty())
         return invalidArgument("encodeGeometry: empty cloud");
 
-    const std::size_t n = cloud.size();
-    const std::uint32_t grid = cloud.gridSize();
-    int depth = cloud.gridBits();
-
-    GeometryEncoded result;
-
     const bool parallel =
         config.builder == GeometryConfig::Builder::kParallelMorton;
-    const bool tight = parallel && config.tight_bbox;
-
     std::uint8_t flags = 0;
     if (parallel)
         flags |= kFlagBuilderParallel;
-    const bool entropy =
-        config.entropy_coding || config.contextual_entropy;
-    if (entropy)
+    if (config.entropy_coding || config.contextual_entropy)
         flags |= kFlagEntropy;
     if (config.contextual_entropy)
         flags |= kFlagContextual;
-    if (tight)
+    if (parallel && config.tight_bbox)
         flags |= kFlagTightBbox;
-
-    // ----- Normalization (proposed pipeline only) -----------------
-    BoxParams box;
-    box.original_depth = depth;
-    VoxelCloud working = cloud;  // coordinates possibly rewritten
-    if (tight) {
-        ScopedStage stage(recorder, "geom.normalize");
-        std::uint32_t lo[3] = {grid, grid, grid};
-        std::uint32_t hi[3] = {0, 0, 0};
-        for (std::size_t i = 0; i < n; ++i) {
-            lo[0] = std::min<std::uint32_t>(lo[0], cloud.x()[i]);
-            lo[1] = std::min<std::uint32_t>(lo[1], cloud.y()[i]);
-            lo[2] = std::min<std::uint32_t>(lo[2], cloud.z()[i]);
-            hi[0] = std::max<std::uint32_t>(hi[0], cloud.x()[i]);
-            hi[1] = std::max<std::uint32_t>(hi[1], cloud.y()[i]);
-            hi[2] = std::max<std::uint32_t>(hi[2], cloud.z()[i]);
-        }
-        std::uint32_t max_extent = 0;
-        for (int a = 0; a < 3; ++a) {
-            box.min[a] = lo[a];
-            max_extent =
-                std::max(max_extent, hi[a] - lo[a]);
-        }
-        recordKernel(recorder,
-                     KernelWork{.name = "geom.bbox_reduce",
-                                .resource = ExecResource::kGpu,
-                                .invocations = 1,
-                                .items = n,
-                                .ops = n * 6,
-                                .bytes = n * 6});
-        // Fit the tree to the cuboid: shift out the minimum and
-        // shrink the depth to cover the largest extent.
-        depth = std::max(1, bitWidth(max_extent));
-        parallelFor(0, n, [&](std::size_t i) {
-            working.mutableX()[i] = static_cast<std::uint16_t>(
-                cloud.x()[i] - box.min[0]);
-            working.mutableY()[i] = static_cast<std::uint16_t>(
-                cloud.y()[i] - box.min[1]);
-            working.mutableZ()[i] = static_cast<std::uint16_t>(
-                cloud.z()[i] - box.min[2]);
-        });
-        recordKernel(recorder,
-                     KernelWork{.name = "geom.requant",
-                                .resource = ExecResource::kGpu,
-                                .invocations = 1,
-                                .items = n,
-                                .ops = n * 6,
-                                .bytes = n * 12});
-    }
-    result.depth = depth;
-
-    if (parallel) {
-        // ----- Morton generation + sort (Fig. 4c stage 1) ---------
-        MortonOrder order;
-        {
-            ScopedStage stage(recorder, "geom.morton");
-            order = computeMortonOrder(working, recorder);
-        }
-
-        // ----- Parallel octree construction ------------------------
-        VoxelCloud unique_cloud(cloud.gridBits());
-        std::vector<std::uint8_t> occupancy;
-        std::vector<std::uint8_t> contexts;
-        std::size_t num_voxels = 0;
-        {
-            ScopedStage stage(recorder, "geom.build");
-            VoxelCloud sorted =
-                applyOrder(working, order, recorder);
-            unique_cloud =
-                dedupeSorted(sorted, order.codes, recorder);
-            num_voxels = unique_cloud.size();
-            if (tight) {
-                // Shift back so sorted_cloud carries the original
-                // coordinates (order stays the shifted Morton
-                // order, matching the decoder's output order).
-                for (std::size_t i = 0; i < num_voxels; ++i) {
-                    unique_cloud.mutableX()[i] =
-                        static_cast<std::uint16_t>(
-                            unique_cloud.x()[i] + box.min[0]);
-                    unique_cloud.mutableY()[i] =
-                        static_cast<std::uint16_t>(
-                            unique_cloud.y()[i] + box.min[1]);
-                    unique_cloud.mutableZ()[i] =
-                        static_cast<std::uint16_t>(
-                            unique_cloud.z()[i] + box.min[2]);
-                }
-            }
-            std::vector<std::uint64_t> unique_codes;
-            unique_codes.reserve(num_voxels);
-            for (std::size_t i = 0; i < order.codes.size(); ++i) {
-                if (i == 0 || order.codes[i] != order.codes[i - 1])
-                    unique_codes.push_back(order.codes[i]);
-            }
-            auto tree =
-                buildParallelOctree(unique_codes, depth, recorder);
-            if (!tree)
-                return tree.status();
-
-            // ----- Post processing (Algorithm 1 + stream) ----------
-            occupancy = occupancyFromFlatOctree(*tree, recorder);
-            if (config.contextual_entropy) {
-                // Parent occupancy byte of each branch node (the
-                // parents of branch nodes are branch nodes, so
-                // they index into `occupancy` directly).
-                contexts.resize(occupancy.size(), 0);
-                for (std::size_t i = 1; i < occupancy.size();
-                     ++i) {
-                    contexts[i] =
-                        occupancy[static_cast<std::size_t>(
-                            tree->parent[i])];
-                }
-            }
-        }
-        {
-            ScopedStage stage(recorder, "geom.post");
-            result.payload = assemblePayload(
-                flags, depth, num_voxels, tight ? &box : nullptr,
-                occupancy,
-                config.contextual_entropy ? &contexts : nullptr,
-                recorder);
-        }
-        result.num_voxels = num_voxels;
-        result.sorted_cloud = std::move(unique_cloud);
-        return result;
-    }
-
-    // ----- Sequential baseline (Fig. 4a) ---------------------------
-    std::vector<std::uint8_t> occupancy;
-    std::vector<std::uint8_t> contexts;
-    {
-        ScopedStage stage(recorder, "geom.build");
-        const PointerOctree tree =
-            buildSequentialOctree(working, recorder);
-        ScopedStage serialize_stage(recorder, "geom.serialize");
-        occupancy = serializeDepthFirst(
-            tree, recorder,
-            config.contextual_entropy ? &contexts : nullptr);
-    }
-    // The attribute stage needs the Morton-sorted unique cloud; in
-    // TMC13 this ordering falls out of the octree itself, so its cost
-    // is part of the RAHT calibration and is not recorded here.
-    MortonOrder order = computeMortonOrder(working, nullptr);
-    VoxelCloud sorted = applyOrder(working, order, nullptr);
-    result.sorted_cloud = dedupeSorted(sorted, order.codes, nullptr);
-    result.num_voxels = result.sorted_cloud.size();
-
-    {
-        ScopedStage stage(recorder, "geom.post");
-        result.payload = assemblePayload(
-            flags, depth, result.num_voxels, nullptr, occupancy,
-            config.contextual_entropy ? &contexts : nullptr,
-            recorder);
-    }
-    return result;
+    return parallel ? encodeParallel(cloud, config, flags, recorder)
+                    : encodeSequential(cloud, config, flags, recorder);
 }
 
 namespace {
@@ -375,6 +455,31 @@ class OccupancyByteSource
         if (cursor_ >= header_->occupancy.size())
             return -1;
         return header_->occupancy[cursor_++];
+    }
+
+    /**
+     * The next `count` bytes in one piece (one tree level); nullptr
+     * on underflow/corruption. A contextual stream decodes them into
+     * `arena`, byte i conditioned on `parent_bytes[i]`.
+     */
+    const std::uint8_t *
+    nextLevel(std::size_t count, const std::uint8_t *parent_bytes,
+              FrameArena &arena)
+    {
+        if (decoder_) {
+            if (remaining_ < count)
+                return nullptr;
+            remaining_ -= count;
+            auto *bytes = arena.allocateArray<std::uint8_t>(count);
+            for (std::size_t i = 0; i < count; ++i)
+                bytes[i] = coder_.decode(*decoder_, parent_bytes[i]);
+            return decoder_->overrun() ? nullptr : bytes;
+        }
+        if (header_->occupancy.size() - cursor_ < count)
+            return nullptr;
+        const std::uint8_t *bytes = header_->occupancy.data() + cursor_;
+        cursor_ += count;
+        return bytes;
     }
 
     /** True when exactly all bytes were consumed. */
@@ -480,50 +585,99 @@ parsePayload(const std::vector<std::uint8_t> &payload)
     return header;
 }
 
-/** Expands BFS occupancy bytes into sorted leaf codes. */
-Expected<std::vector<std::uint64_t>>
-expandBreadthFirst(const ParsedHeader &header)
+/**
+ * The deepest branch level of a breadth-first tree: its codes, its
+ * occupancy bytes, and per part of it the number of leaves that come
+ * before the part. The leaves are its children.
+ */
+struct LeafParents {
+    const std::uint64_t *codes = nullptr;
+    const std::uint8_t *bytes = nullptr;
+    std::size_t count = 0;
+    const std::size_t *leaf_offsets = nullptr;
+    std::size_t num_leaves = 0;
+};
+
+/**
+ * Expands breadth-first occupancy bytes level by level, the inverse
+ * of Algorithm 1, down to the leaves' parents. Per level: take the
+ * level's bytes (one per node), popcount them per part and reject an
+ * empty branch, scan the part counts, and check the leaf cap before
+ * allocating the next level; then every part scatters its nodes'
+ * child codes from its offset. Contextual streams decode each level's
+ * bytes serially first, each node's parent byte coming from the
+ * previous scatter. The leaves are scattered by dequantize().
+ */
+Expected<LeafParents>
+expandBreadthFirst(const ParsedHeader &header, FrameArena &arena)
 {
     OccupancyByteSource source(header);
+    const bool contextual = header.flags & kFlagContextual;
+    auto *codes = arena.allocateArray<std::uint64_t>(1);
+    auto *parent_bytes = arena.allocateArray<std::uint8_t>(1);
+    codes[0] = 0;
+    parent_bytes[0] = 0;
+    std::size_t count = 1;
+    for (int level = 0;; ++level) {
+        const std::uint8_t *bytes =
+            source.nextLevel(count, parent_bytes, arena);
+        if (bytes == nullptr)
+            return corruptBitstream(
+                "geometry payload: occupancy underflow");
+        auto *offsets =
+            arena.allocateArray<std::size_t>(numParts(count) + 1);
+        std::atomic<bool> empty_branch{false};
+        forEachPart(count, [&](std::size_t p, std::size_t lo,
+                               std::size_t hi) {
+            std::size_t children = 0;
+            bool empty = false;
+            for (std::size_t i = lo; i < hi; ++i) {
+                children +=
+                    static_cast<std::size_t>(std::popcount(bytes[i]));
+                empty |= bytes[i] == 0;
+            }
+            offsets[p + 1] = children;
+            if (empty)
+                empty_branch.store(true, std::memory_order_relaxed);
+        });
+        if (empty_branch.load(std::memory_order_relaxed))
+            return corruptBitstream(
+                "geometry payload: empty branch node");
+        const std::size_t next_count =
+            scanPartCounts(offsets, numParts(count));
+        EDGEPCC_CHECK_CORRUPT(
+            next_count <= kMaxDecodeItems,
+            "geometry payload: tree expansion exceeds leaf cap");
+        if (level + 1 == header.depth) {
+            if (!source.exhausted())
+                return corruptBitstream(
+                    "geometry payload: trailing occupancy bytes");
+            return LeafParents{codes, bytes, count, offsets, next_count};
+        }
 
-    struct Node {
-        std::uint64_t code;
-        std::uint8_t parent_byte;
-    };
-    std::vector<Node> frontier{{0, 0}};
-    for (int level = 0; level < header.depth; ++level) {
-        std::vector<Node> next;
-        next.reserve(frontier.size() * 2);
-        for (const Node &node : frontier) {
-            const int bits = source.next(node.parent_byte);
-            if (bits < 0)
-                return corruptBitstream(
-                    "geometry payload: occupancy underflow");
-            if (bits == 0)
-                return corruptBitstream(
-                    "geometry payload: empty branch node");
-            for (int octant = 0; octant < 8; ++octant) {
-                if (bits & (1 << octant)) {
-                    next.push_back(
-                        {(node.code << 3) |
-                             static_cast<std::uint64_t>(octant),
-                         static_cast<std::uint8_t>(bits)});
+        auto *next = arena.allocateArray<std::uint64_t>(next_count);
+        std::uint8_t *next_parent_bytes =
+            contextual ? arena.allocateArray<std::uint8_t>(next_count)
+                       : nullptr;
+        forEachPart(count, [&](std::size_t p, std::size_t lo,
+                               std::size_t hi) {
+            std::size_t k = offsets[p];
+            for (std::size_t i = lo; i < hi; ++i) {
+                const std::uint64_t base = codes[i] << 3;
+                for (unsigned bits = bytes[i]; bits != 0;
+                     bits &= bits - 1) {
+                    next[k] = base | static_cast<std::uint64_t>(
+                                         std::countr_zero(bits));
+                    if (next_parent_bytes != nullptr)
+                        next_parent_bytes[k] = bytes[i];
+                    ++k;
                 }
             }
-        }
-        frontier = std::move(next);
-        EDGEPCC_CHECK_CORRUPT(
-            frontier.size() <= kMaxDecodeItems,
-            "geometry payload: tree expansion exceeds leaf cap");
+        });
+        codes = next;
+        parent_bytes = next_parent_bytes;
+        count = next_count;
     }
-    if (!source.exhausted())
-        return corruptBitstream(
-            "geometry payload: trailing occupancy bytes");
-    std::vector<std::uint64_t> leaves;
-    leaves.reserve(frontier.size());
-    for (const Node &node : frontier)
-        leaves.push_back(node.code);
-    return leaves;
 }
 
 /** Expands DFS occupancy bytes into sorted leaf codes. */
@@ -573,6 +727,175 @@ expandDepthFirst(const ParsedHeader &header)
     return leaves;
 }
 
+/** Where dequantized leaves go: the output coordinate arrays, the
+ *  tight-bbox shift and the grid bound. */
+struct DequantTarget {
+    std::uint16_t *xyz[3];
+    std::uint32_t offset[3];
+    std::uint32_t grid_limit;
+    /** Set (relaxed, false -> true only) when a voxel falls outside
+     *  the grid; read after the join. */
+    std::atomic<bool> *out_of_grid;
+};
+
+/**
+ * Dequantizes leaf codes bound for consecutive output positions a
+ * stack tile at a time, so the SIMD Morton decoder gets contiguous
+ * SoA input and output without a heap round trip.
+ */
+class LeafTile
+{
+  public:
+    LeafTile(const DequantTarget &target, std::size_t first)
+        : target_(target), next_(first)
+    {
+    }
+
+    void
+    push(std::uint64_t code)
+    {
+        codes_[size_++] = code;
+        if (size_ == kTile)
+            flush();
+    }
+
+    void
+    flush()
+    {
+        mortonDecodeBatch(codes_, size_, axes_[0], axes_[1], axes_[2]);
+        bool outside = false;
+        for (int a = 0; a < 3; ++a) {
+            std::uint16_t *out = target_.xyz[a] + next_;
+            for (std::size_t k = 0; k < size_; ++k) {
+                const std::uint32_t v = axes_[a][k] + target_.offset[a];
+                outside |= v >= target_.grid_limit;
+                out[k] = static_cast<std::uint16_t>(v);
+            }
+        }
+        if (outside)
+            target_.out_of_grid->store(true, std::memory_order_relaxed);
+        next_ += size_;
+        size_ = 0;
+    }
+
+  private:
+    static constexpr std::size_t kTile = 512;
+
+    const DequantTarget &target_;
+    std::size_t next_;
+    std::size_t size_ = 0;
+    std::uint64_t codes_[kTile];
+    std::uint32_t axes_[3][kTile];
+};
+
+/**
+ * Leaves to voxels on the output grid: Morton decode, then the
+ * tight-bbox shift back, rejecting any voxel outside the grid. The
+ * work splits into parts of `num_items` items; `fill(tile, lo, hi)`
+ * pushes the leaf codes of items [lo, hi) into `tile`, in output
+ * order from position `first(p)` for part p.
+ */
+template <typename First, typename Fill>
+Expected<VoxelCloud>
+dequantize(const ParsedHeader &header, std::size_t num_leaves,
+           std::size_t num_items, const First &first, const Fill &fill,
+           bool parallel, WorkRecorder *recorder)
+{
+    const bool tight = header.flags & kFlagTightBbox;
+    // The output cloud lives on the original capture grid; the
+    // coded tree may be shallower (cuboid-fitted).
+    VoxelCloud cloud(tight ? header.box.original_depth : header.depth);
+    cloud.resize(num_leaves);
+    std::atomic<bool> out_of_grid{false};
+    DequantTarget target{
+        {cloud.mutableX().data(), cloud.mutableY().data(),
+         cloud.mutableZ().data()},
+        {tight ? header.box.min[0] : 0, tight ? header.box.min[1] : 0,
+         tight ? header.box.min[2] : 0},
+        cloud.gridSize(),
+        &out_of_grid};
+    forEachPart(num_items, [&](std::size_t p, std::size_t lo,
+                               std::size_t hi) {
+        LeafTile tile(target, first(p));
+        fill(tile, lo, hi);
+        tile.flush();
+    });
+    if (out_of_grid.load(std::memory_order_relaxed))
+        return corruptBitstream(
+            "geometry payload: decoded voxel outside grid");
+    recordKernel(recorder,
+                 KernelWork{.name = "geomdec.dequant",
+                            .resource = parallel
+                                            ? ExecResource::kGpu
+                                            : ExecResource::
+                                                  kCpuSequential,
+                            .invocations = 1,
+                            .items = num_leaves,
+                            .ops = num_leaves * 24,
+                            .bytes = num_leaves * 14});
+    return cloud;
+}
+
+void
+recordExpand(WorkRecorder *recorder, const ParsedHeader &header,
+             std::size_t num_leaves, bool parallel)
+{
+    recordKernel(
+        recorder,
+        KernelWork{.name = "geomdec.expand",
+                   .resource = parallel ? ExecResource::kGpu
+                                        : ExecResource::kCpuSequential,
+                   .invocations = static_cast<std::uint64_t>(header.depth),
+                   .items = header.occupancy_size,
+                   .ops = header.occupancy_size * 10,
+                   .bytes = header.occupancy_size + num_leaves * 8});
+}
+
+/** The header's voxel count (0: not signalled) against the tree. */
+bool
+leafCountMatches(const ParsedHeader &header, std::size_t num_leaves)
+{
+    return header.num_voxels == 0 || header.num_voxels == num_leaves;
+}
+
+/** The parallel builder's leaves: scattered from their parents'
+ *  bytes straight into the dequantizer. */
+Expected<VoxelCloud>
+dequantizeBreadthFirst(const ParsedHeader &header,
+                       const LeafParents &parents, WorkRecorder *recorder)
+{
+    return dequantize(
+        header, parents.num_leaves, parents.count,
+        [&](std::size_t p) { return parents.leaf_offsets[p]; },
+        [&](LeafTile &tile, std::size_t lo, std::size_t hi) {
+            for (std::size_t i = lo; i < hi; ++i) {
+                const std::uint64_t base = parents.codes[i] << 3;
+                for (unsigned bits = parents.bytes[i]; bits != 0;
+                     bits &= bits - 1) {
+                    tile.push(base | static_cast<std::uint64_t>(
+                                         std::countr_zero(bits)));
+                }
+            }
+        },
+        /*parallel=*/true, recorder);
+}
+
+/** The sequential builder's leaves, already expanded to codes. */
+Expected<VoxelCloud>
+dequantizeDepthFirst(const ParsedHeader &header,
+                     const std::vector<std::uint64_t> &leaves,
+                     WorkRecorder *recorder)
+{
+    return dequantize(
+        header, leaves.size(), leaves.size(),
+        [](std::size_t p) { return p * kPartKeys; },
+        [&](LeafTile &tile, std::size_t lo, std::size_t hi) {
+            for (std::size_t i = lo; i < hi; ++i)
+                tile.push(leaves[i]);
+        },
+        /*parallel=*/false, recorder);
+}
+
 }  // namespace
 
 Expected<VoxelCloud>
@@ -595,95 +918,24 @@ decodeGeometry(const std::vector<std::uint8_t> &payload,
                                         : 1u),
                             .bytes = payload.size()});
 
-    const bool parallel = header->flags & kFlagBuilderParallel;
-    Expected<std::vector<std::uint64_t>> leaves =
-        parallel ? expandBreadthFirst(*header)
-                 : expandDepthFirst(*header);
+    if (header->flags & kFlagBuilderParallel) {
+        ScratchArena scratch;
+        auto parents = expandBreadthFirst(*header, scratch.get());
+        if (!parents)
+            return parents.status();
+        recordExpand(recorder, *header, parents->num_leaves, true);
+        if (!leafCountMatches(*header, parents->num_leaves))
+            return corruptBitstream(
+                "geometry payload: voxel count mismatch");
+        return dequantizeBreadthFirst(*header, *parents, recorder);
+    }
+    auto leaves = expandDepthFirst(*header);
     if (!leaves)
         return leaves.status();
-    recordKernel(
-        recorder,
-        KernelWork{.name = "geomdec.expand",
-                   .resource = parallel
-                                   ? ExecResource::kGpu
-                                   : ExecResource::kCpuSequential,
-                   .invocations =
-                       static_cast<std::uint64_t>(header->depth),
-                   .items = header->occupancy_size,
-                   .ops = header->occupancy_size * 10,
-                   .bytes = header->occupancy_size +
-                            leaves->size() * 8});
-
-    if (header->num_voxels != 0 &&
-        leaves->size() != header->num_voxels) {
-        return corruptBitstream(
-            "geometry payload: voxel count mismatch");
-    }
-
-    const bool tight = header->flags & kFlagTightBbox;
-    // The output cloud lives on the original capture grid; the
-    // coded tree may be shallower (cuboid-fitted).
-    VoxelCloud cloud(tight ? header->box.original_depth
-                           : header->depth);
-    cloud.resize(leaves->size());
-    const auto &codes = *leaves;
-    const std::uint32_t grid_limit = cloud.gridSize();
-    // Written concurrently by parallelFor chunks; relaxed is enough
-    // (the flag only ever goes false -> true and is read after the
-    // implicit join).
-    std::atomic<bool> out_of_grid{false};
-    const std::uint32_t off_x = tight ? header->box.min[0] : 0;
-    const std::uint32_t off_y = tight ? header->box.min[1] : 0;
-    const std::uint32_t off_z = tight ? header->box.min[2] : 0;
-    std::uint16_t *cloud_x = cloud.mutableX().data();
-    std::uint16_t *cloud_y = cloud.mutableY().data();
-    std::uint16_t *cloud_z = cloud.mutableZ().data();
-    const std::uint64_t *code_ptr = codes.data();
-    parallelForChunks(
-        0, codes.size(),
-        [&](std::size_t lo, std::size_t hi) {
-            // Decode in stack tiles so the SIMD batch kernel gets
-            // contiguous SoA outputs without a heap round trip.
-            constexpr std::size_t kTile = 512;
-            std::uint32_t tx[kTile];
-            std::uint32_t ty[kTile];
-            std::uint32_t tz[kTile];
-            for (std::size_t base = lo; base < hi; base += kTile) {
-                const std::size_t n = std::min(kTile, hi - base);
-                mortonDecodeBatch(code_ptr + base, n, tx, ty, tz);
-                for (std::size_t k = 0; k < n; ++k) {
-                    const std::uint32_t ox = tx[k] + off_x;
-                    const std::uint32_t oy = ty[k] + off_y;
-                    const std::uint32_t oz = tz[k] + off_z;
-                    if (ox >= grid_limit || oy >= grid_limit ||
-                        oz >= grid_limit) {
-                        out_of_grid.store(
-                            true, std::memory_order_relaxed);
-                        continue;
-                    }
-                    cloud_x[base + k] =
-                        static_cast<std::uint16_t>(ox);
-                    cloud_y[base + k] =
-                        static_cast<std::uint16_t>(oy);
-                    cloud_z[base + k] =
-                        static_cast<std::uint16_t>(oz);
-                }
-            }
-        });
-    if (out_of_grid.load(std::memory_order_relaxed))
-        return corruptBitstream(
-            "geometry payload: decoded voxel outside grid");
-    recordKernel(recorder,
-                 KernelWork{.name = "geomdec.dequant",
-                            .resource = parallel
-                                            ? ExecResource::kGpu
-                                            : ExecResource::
-                                                  kCpuSequential,
-                            .invocations = 1,
-                            .items = codes.size(),
-                            .ops = codes.size() * 24,
-                            .bytes = codes.size() * 14});
-    return cloud;
+    recordExpand(recorder, *header, leaves->size(), false);
+    if (!leafCountMatches(*header, leaves->size()))
+        return corruptBitstream("geometry payload: voxel count mismatch");
+    return dequantizeDepthFirst(*header, *leaves, recorder);
 }
 
 }  // namespace edgepcc

@@ -62,7 +62,6 @@ RedundancyController::decideLocked() const
     d.group_size = k;
     d.parity_chunks = m;
     d.gop_size = gop_size_;
-    d.force_keyframe = force_key_;
     if (config_.wire_budget_bytes > 0) {
         // The encoder may spend only what parity leaves over: the
         // overload/byte ladder then sees redundancy's true cost

@@ -17,6 +17,7 @@
 
 #include "corruption_harness.h"
 #include "edgepcc/attr/segment_codec.h"
+#include "edgepcc/common/check.h"
 #include "edgepcc/common/rng.h"
 #include "edgepcc/core/video_codec.h"
 #include "edgepcc/entropy/bitstream.h"
@@ -24,6 +25,8 @@
 #include "edgepcc/interframe/macroblock_codec.h"
 #include "edgepcc/morton/morton.h"
 #include "edgepcc/octree/geometry_codec.h"
+#include "edgepcc/parallel/thread_pool.h"
+#include "edgepcc/platform/arena.h"
 #include "edgepcc/stream/chunk_stream.h"
 #include "edgepcc/stream/stream_session.h"
 
@@ -220,6 +223,134 @@ TEST(CorruptBitstream, GeometryDecoderRejectsEmptyAndGarbage)
     for (auto &byte : garbage)
         byte = static_cast<std::uint8_t>(rng());
     EXPECT_FALSE(decode(garbage).isOk());
+}
+
+/**
+ * A breadth-first (parallel builder) geometry payload around
+ * hand-made occupancy bytes, stored raw or, with `entropy`, order-0
+ * coded. num_voxels 0 leaves the leaf count unchecked, so the tree
+ * itself decides where decoding fails.
+ */
+std::vector<std::uint8_t>
+breadthFirstPayload(int depth, const std::vector<std::uint8_t> &occupancy,
+                    bool entropy)
+{
+    constexpr std::uint8_t kParallel = 1u << 0;
+    constexpr std::uint8_t kEntropy = 1u << 1;
+    BitWriter writer;
+    writer.writeBits('G', 8);
+    writer.writeBits('E', 8);
+    writer.writeBits('O', 8);
+    writer.writeBits(entropy ? kParallel | kEntropy : kParallel, 8);
+    writer.writeVarint(static_cast<std::uint64_t>(depth));
+    writer.writeVarint(0);
+    writer.writeVarint(occupancy.size());
+    if (entropy) {
+        const std::vector<std::uint8_t> packed =
+            entropyCompress(occupancy);
+        writer.writeVarint(packed.size());
+        writer.writeBytes(packed.data(), packed.size());
+    } else {
+        writer.writeBytes(occupancy.data(), occupancy.size());
+    }
+    return writer.take();
+}
+
+/** Occupancy bytes of a full tree down to level `levels`: every node
+ *  has all eight children, so level `levels` holds 8^levels nodes. */
+std::vector<std::uint8_t>
+fullLevels(int levels)
+{
+    std::size_t nodes = 1;
+    std::size_t bytes = 0;
+    for (int l = 0; l < levels; ++l) {
+        bytes += nodes;
+        nodes *= 8;
+    }
+    return std::vector<std::uint8_t>(bytes, 0xff);
+}
+
+/** Decodes `occupancy` at depth `depth`, raw and order-0, at pool
+ *  sizes 0/1/4, and expects kCorruptBitstream every time. */
+void
+expectCorruptAtEveryPoolSize(int depth,
+                             const std::vector<std::uint8_t> &occupancy)
+{
+    for (const bool entropy : {false, true}) {
+        const std::vector<std::uint8_t> payload =
+            breadthFirstPayload(depth, occupancy, entropy);
+        for (const std::size_t pool_size : {0, 1, 4}) {
+            SCOPED_TRACE(::testing::Message()
+                         << (entropy ? "order-0" : "raw") << ", pool "
+                         << pool_size);
+            ScopedGlobalPool pool(pool_size);
+            const auto decoded = decodeGeometry(payload);
+            ASSERT_FALSE(decoded.hasValue());
+            EXPECT_EQ(decoded.status().code(),
+                      StatusCode::kCorruptBitstream);
+        }
+    }
+}
+
+TEST(CorruptBitstream, GeometryUnderflowMidLevel)
+{
+    // Level 5 has 8^5 = 32768 nodes (one full part) but only 20000
+    // bytes follow.
+    std::vector<std::uint8_t> occupancy = fullLevels(5);
+    occupancy.resize(occupancy.size() + 20000, 0x01);
+    expectCorruptAtEveryPoolSize(7, occupancy);
+
+    // A short level inside a small tree: 8 nodes, 3 bytes.
+    expectCorruptAtEveryPoolSize(3, {0xff, 0x01, 0x01, 0x01});
+}
+
+TEST(CorruptBitstream, GeometryEmptyBranchInLastPart)
+{
+    // Level 6 has 8^6 = 262144 nodes, eight parts; only its very
+    // last byte is zero.
+    std::vector<std::uint8_t> occupancy = fullLevels(6);
+    occupancy.resize(occupancy.size() + 262144, 0x01);
+    occupancy.back() = 0x00;
+    expectCorruptAtEveryPoolSize(7, occupancy);
+}
+
+TEST(CorruptBitstream, GeometryTrailingBytes)
+{
+    std::vector<std::uint8_t> occupancy = fullLevels(6);
+    occupancy.resize(occupancy.size() + 262144, 0x01);
+    ASSERT_TRUE(
+        decodeGeometry(breadthFirstPayload(7, occupancy, false))
+            .hasValue());
+    occupancy.push_back(0x01);
+    expectCorruptAtEveryPoolSize(7, occupancy);
+}
+
+TEST(CorruptBitstream, GeometryLeafCapCheckedBeforeAllocation)
+{
+    // Levels 0..6 full: level 7 has 2^21 nodes. One byte with two
+    // children gives level 8 2^21 + 1 nodes, and their full bytes
+    // would give level 9 8 * (2^21 + 1) > kMaxDecodeItems nodes:
+    // the leaves at depth 9, a branch level at depth 10.
+    std::vector<std::uint8_t> occupancy = fullLevels(7);
+    const std::size_t level7 = std::size_t{1} << 21;
+    occupancy.push_back(0x03);
+    occupancy.resize(occupancy.size() + level7 - 1, 0x01);
+    occupancy.resize(occupancy.size() + level7 + 1, 0xff);
+    ASSERT_GT((level7 + 1) * 8, kMaxDecodeItems);
+    expectCorruptAtEveryPoolSize(9, occupancy);
+    expectCorruptAtEveryPoolSize(10, occupancy);
+
+    // Decoding into a frame arena shows what was allocated: level 9
+    // alone would need more than kMaxDecodeItems codes.
+    FrameArena arena;
+    {
+        ScopedFrameArena bind(&arena);
+        EXPECT_FALSE(
+            decodeGeometry(breadthFirstPayload(10, occupancy, false))
+                .hasValue());
+    }
+    EXPECT_LT(arena.bytesReserved(),
+              kMaxDecodeItems * sizeof(std::uint64_t));
 }
 
 // -----------------------------------------------------------------

@@ -12,6 +12,7 @@
 #include "edgepcc/common/rng.h"
 #include "edgepcc/core/codec_config.h"
 #include "edgepcc/morton/morton.h"
+#include "edgepcc/parallel/thread_pool.h"
 
 namespace edgepcc {
 namespace {
@@ -531,6 +532,111 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(1, 7, 64, 1000),
                        ::testing::Values(1, 4, 10),
                        ::testing::Bool()));
+
+/** Clouds around the codec's 2^15-item part boundary, plus the
+ *  duplicate-heavy and full-grid edge cases. */
+VoxelCloud
+poolCaseCloud(const std::string &name)
+{
+    Rng rng(std::hash<std::string>{}(name));
+    if (name == "duplicates") {
+        // 60000 points over ~4000 voxels: long runs of equal codes
+        // cross part boundaries.
+        VoxelCloud cloud(6);
+        for (int i = 0; i < 60000; ++i) {
+            cloud.add(static_cast<std::uint16_t>(rng.bounded(16)),
+                      static_cast<std::uint16_t>(rng.bounded(16)),
+                      static_cast<std::uint16_t>(rng.bounded(16)),
+                      static_cast<std::uint8_t>(i), 0, 0);
+        }
+        return cloud;
+    }
+    if (name == "full_grid") {
+        // Spans the whole grid, so the tight bbox is the identity.
+        VoxelCloud cloud(7);
+        cloud.add(0, 0, 0, 1, 2, 3);
+        cloud.add(127, 127, 127, 4, 5, 6);
+        for (int i = 0; i < 50000; ++i) {
+            cloud.add(static_cast<std::uint16_t>(rng.bounded(128)),
+                      static_cast<std::uint16_t>(rng.bounded(128)),
+                      static_cast<std::uint16_t>(rng.bounded(128)),
+                      7, 8, 9);
+        }
+        return cloud;
+    }
+    // "n<count>": unique voxels inside a sub-box of a 10-bit grid.
+    const auto n = static_cast<std::size_t>(std::stoul(name.substr(1)));
+    VoxelCloud cloud(10);
+    std::set<std::uint64_t> used;
+    while (cloud.size() < n) {
+        const auto x = static_cast<std::uint16_t>(90 + rng.bounded(700));
+        const auto y = static_cast<std::uint16_t>(300 + rng.bounded(600));
+        const auto z = static_cast<std::uint16_t>(20 + rng.bounded(500));
+        if (used.insert(mortonEncode(x, y, z)).second)
+            cloud.add(x, y, z, static_cast<std::uint8_t>(x), 0, 0);
+    }
+    return cloud;
+}
+
+void
+expectSameCloud(const VoxelCloud &a, const VoxelCloud &b)
+{
+    EXPECT_EQ(a.gridBits(), b.gridBits());
+    EXPECT_EQ(a.x(), b.x());
+    EXPECT_EQ(a.y(), b.y());
+    EXPECT_EQ(a.z(), b.z());
+    EXPECT_EQ(a.r(), b.r());
+    EXPECT_EQ(a.g(), b.g());
+    EXPECT_EQ(a.b(), b.b());
+}
+
+class GeometryCodecPools : public ::testing::TestWithParam<std::string>
+{
+};
+
+TEST_P(GeometryCodecPools, IdenticalAtEveryPoolSize)
+{
+    const VoxelCloud cloud = poolCaseCloud(GetParam());
+    GeometryConfig raw = parallelConfig(true);
+    GeometryConfig order0 = parallelConfig(true, /*entropy=*/true);
+    GeometryConfig contextual = parallelConfig(true);
+    contextual.contextual_entropy = true;
+    for (const GeometryConfig &config : {raw, order0, contextual}) {
+        SCOPED_TRACE(config.contextual_entropy ? "contextual"
+                     : config.entropy_coding   ? "order-0"
+                                               : "raw");
+        GeometryEncoded reference;
+        VoxelCloud reference_decoded;
+        for (const std::size_t pool_size : {0, 1, 4}) {
+            SCOPED_TRACE(pool_size);
+            ScopedGlobalPool pool(pool_size);
+            auto encoded = encodeGeometry(cloud, config);
+            ASSERT_TRUE(encoded.hasValue());
+            auto decoded = decodeGeometry(encoded->payload);
+            ASSERT_TRUE(decoded.hasValue());
+            // Integer input: the tight bbox shift is exact, so the
+            // decode reproduces sorted_cloud's coordinates.
+            EXPECT_EQ(decoded->x(), encoded->sorted_cloud.x());
+            EXPECT_EQ(decoded->y(), encoded->sorted_cloud.y());
+            EXPECT_EQ(decoded->z(), encoded->sorted_cloud.z());
+            if (pool_size == 0) {
+                EXPECT_EQ(voxelSet(*decoded), voxelSet(cloud));
+                reference = encoded.takeValue();
+                reference_decoded = decoded.takeValue();
+                continue;
+            }
+            EXPECT_EQ(encoded->payload, reference.payload);
+            expectSameCloud(encoded->sorted_cloud,
+                            reference.sorted_cloud);
+            expectSameCloud(*decoded, reference_decoded);
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PartBoundaries, GeometryCodecPools,
+    ::testing::Values("n1", "n32767", "n32768", "n32769", "n100003",
+                      "duplicates", "full_grid"));
 
 }  // namespace
 }  // namespace edgepcc

@@ -9,6 +9,7 @@
 #include "edgepcc/morton/morton.h"
 #include "edgepcc/octree/parallel_builder.h"
 #include "edgepcc/octree/sequential_builder.h"
+#include "edgepcc/parallel/thread_pool.h"
 
 namespace edgepcc {
 namespace {
@@ -180,6 +181,140 @@ TEST(ParallelOctree, LeavesMatchInputCodes)
         tree->level_offsets[static_cast<std::size_t>(tree->depth)];
     for (std::size_t i = 0; i < codes.size(); ++i)
         EXPECT_EQ(tree->codes[leaf_base + i], codes[i]);
+}
+
+/** Sorted codes with about a third repeated, on a `bits`-deep
+ *  grid. */
+std::vector<std::uint64_t>
+sortedCodesWithDuplicates(std::uint64_t seed, std::size_t n, int bits)
+{
+    Rng rng(seed);
+    std::vector<std::uint64_t> codes;
+    codes.reserve(n);
+    const std::uint64_t limit = std::uint64_t{1} << (3 * bits);
+    while (codes.size() < n) {
+        const std::uint64_t code = rng.bounded(limit);
+        codes.push_back(code);
+        if (rng.bounded(3) == 0 && codes.size() < n)
+            codes.push_back(code);
+    }
+    std::sort(codes.begin(), codes.end());
+    return codes;
+}
+
+/** Plain serial octree and Algorithm 1, the reference the level
+ *  kernel must reproduce. */
+struct ReferenceTree {
+    std::vector<std::uint64_t> codes;
+    std::vector<std::int32_t> parent;
+    std::vector<std::uint32_t> level_offsets;
+    std::vector<std::uint8_t> occupancy;
+};
+
+ReferenceTree
+referenceTree(const std::vector<std::uint64_t> &sorted_codes, int depth)
+{
+    // Level l holds the distinct codes >> 3 * (depth - l).
+    std::vector<std::vector<std::uint64_t>> levels(
+        static_cast<std::size_t>(depth) + 1);
+    for (int level = 0; level <= depth; ++level) {
+        auto &codes = levels[static_cast<std::size_t>(level)];
+        for (const std::uint64_t code : sorted_codes) {
+            const std::uint64_t shifted = code >> (3 * (depth - level));
+            if (codes.empty() || codes.back() != shifted)
+                codes.push_back(shifted);
+        }
+    }
+    ReferenceTree ref;
+    for (const auto &codes : levels) {
+        ref.level_offsets.push_back(
+            static_cast<std::uint32_t>(ref.codes.size()));
+        ref.codes.insert(ref.codes.end(), codes.begin(), codes.end());
+    }
+    ref.level_offsets.push_back(
+        static_cast<std::uint32_t>(ref.codes.size()));
+    ref.parent.assign(ref.codes.size(), -1);
+    for (int level = 1; level <= depth; ++level) {
+        const auto &above = levels[static_cast<std::size_t>(level) - 1];
+        const std::uint32_t lo =
+            ref.level_offsets[static_cast<std::size_t>(level)];
+        const std::uint32_t hi =
+            ref.level_offsets[static_cast<std::size_t>(level) + 1];
+        for (std::uint32_t i = lo; i < hi; ++i) {
+            const auto found = std::lower_bound(
+                above.begin(), above.end(), ref.codes[i] >> 3);
+            ref.parent[i] = static_cast<std::int32_t>(
+                ref.level_offsets[static_cast<std::size_t>(level) - 1] +
+                static_cast<std::uint32_t>(found - above.begin()));
+        }
+    }
+    // Algorithm 1: every non-root node sets its octant bit in its
+    // parent's byte.
+    ref.occupancy.assign(
+        ref.level_offsets[static_cast<std::size_t>(depth)], 0);
+    for (std::size_t i = 1; i < ref.codes.size(); ++i) {
+        ref.occupancy[static_cast<std::size_t>(ref.parent[i])] |=
+            static_cast<std::uint8_t>(1u << (ref.codes[i] & 7));
+    }
+    return ref;
+}
+
+/** Sizes around the level kernel's 2^15-item part boundary, at every
+ *  pool size. */
+class ParallelOctreeReference
+    : public ::testing::TestWithParam<std::tuple<std::size_t, int>>
+{
+};
+
+TEST_P(ParallelOctreeReference, MatchesSerialAlgorithmOne)
+{
+    const auto [n, pool_size] = GetParam();
+    const int depth = 7;
+    const std::vector<std::uint64_t> codes =
+        sortedCodesWithDuplicates(n * 13 + 1, n, depth);
+    const ReferenceTree ref = referenceTree(codes, depth);
+
+    ScopedGlobalPool pool(static_cast<std::size_t>(pool_size));
+    WorkRecorder recorder;
+    auto tree = buildParallelOctree(codes, depth, &recorder);
+    ASSERT_TRUE(tree.hasValue());
+    EXPECT_EQ(tree->codes, ref.codes);
+    EXPECT_EQ(tree->parent, ref.parent);
+    EXPECT_EQ(tree->level_offsets, ref.level_offsets);
+    EXPECT_EQ(occupancyFromFlatOctree(*tree, &recorder), ref.occupancy);
+
+    // The model prices the device's flag/scan/gather build from the
+    // input size and the node total.
+    const auto profile = recorder.takeProfile();
+    ASSERT_FALSE(profile.stages.empty());
+    const KernelWork &levels = profile.stages[0].kernels.at(0);
+    EXPECT_EQ(levels.name, "octree.par_levels");
+    EXPECT_EQ(levels.ops, n * 4 + (ref.codes.size() - 1) * 5);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PartBoundaries, ParallelOctreeReference,
+    ::testing::Combine(::testing::Values(std::size_t{1},
+                                         std::size_t{32767},
+                                         std::size_t{32768},
+                                         std::size_t{32769},
+                                         std::size_t{100003}),
+                       ::testing::Values(0, 1, 4)));
+
+TEST(ParallelOctree, UnsortedInputRejectedInAnyPart)
+{
+    // The sorted-input check runs per part; a descent at a part
+    // boundary or deep inside the last part must still be caught.
+    std::vector<std::uint64_t> codes =
+        sortedCodesWithDuplicates(5, 70000, 7);
+    for (const std::size_t at : {std::size_t{32768}, std::size_t{69999}}) {
+        std::vector<std::uint64_t> broken = codes;
+        broken[at] = 0;
+        ScopedGlobalPool pool(4);
+        const auto tree = buildParallelOctree(broken, 7);
+        ASSERT_FALSE(tree.hasValue());
+        EXPECT_EQ(tree.status().code(), StatusCode::kInvalidArgument);
+    }
 }
 
 // ---------------------------------------------------------------

@@ -304,15 +304,6 @@ TEST(ParallelReduce, PartialsFoldInChunkOrder)
     EXPECT_EQ(got, expected);
 }
 
-TEST(ExclusiveScan, KnownSequence)
-{
-    std::vector<std::uint32_t> values{3, 1, 4, 1, 5};
-    const std::uint32_t total = exclusiveScan(values);
-    EXPECT_EQ(total, 14u);
-    EXPECT_EQ(values,
-              (std::vector<std::uint32_t>{0, 3, 4, 8, 9}));
-}
-
 TEST(RadixSort, EmptyAndSingle)
 {
     std::vector<KeyIndex> empty;

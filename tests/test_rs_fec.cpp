@@ -383,7 +383,7 @@ TEST(Redundancy, CleanChannelPicksCheapestGeometry)
     const RedundancyDecision d = ctrl.decide();
     EXPECT_EQ(d.parity_chunks, 1);  // burst EWMA decays to 1
     EXPECT_EQ(d.group_size, 16);    // overhead floor: m/(k_max+m)
-    EXPECT_FALSE(d.force_keyframe);
+    EXPECT_FALSE(ctrl.consumeForcedKeyframe());
 }
 
 TEST(Redundancy, BurstLengthDrivesParityDepth)
