@@ -14,6 +14,7 @@
 #ifndef EDGEPCC_CORE_VIDEO_CODEC_H
 #define EDGEPCC_CORE_VIDEO_CODEC_H
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -174,10 +175,15 @@ class VideoDecoder
         const std::vector<std::uint8_t> &bitstream,
         const VoxelCloud *conceal_source, bool *attr_concealed);
 
+    /** Upstream block size of the decoder's arena. Its scratch is
+     *  the geometry decoder's octree levels, about 100 KiB for a
+     *  30k-voxel frame: a 1 MiB block would hold mostly nothing. */
+    static constexpr std::size_t kArenaBlockBytes = std::size_t{1} << 17;
+
     VoxelCloud reference_{10};
     bool has_reference_ = false;
     /** Per-frame kernel scratch (see VideoEncoder::arena_). */
-    FrameArena arena_;
+    FrameArena arena_{kArenaBlockBytes};
 };
 
 }  // namespace edgepcc

@@ -49,7 +49,8 @@ void radixSortPairs(std::vector<KeyIndex> &pairs, int key_bits = 64);
  * stage sorts codes and the permutation directly, with no KeyIndex
  * AoS staging). Scratch keys, payloads and histograms come from the
  * bound FrameArena (platform/arena.h) when one is active — zero heap
- * traffic in steady state — and from heap vectors otherwise.
+ * traffic in steady state — and from a call-local ScratchArena
+ * otherwise.
  *
  * @param keys     n 64-bit keys, sorted ascending in place.
  * @param values   n 32-bit payloads, permuted alongside the keys.

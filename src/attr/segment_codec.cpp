@@ -258,21 +258,13 @@ encodeSegmentAttr(const AttrChannels &channels,
     writer.writeVarint(layout.num_segments);
     writer.writeVarint(config.quant_step);
 
-    // Per-segment quantized scratch, SoA and arena-backed inside a
-    // frame (heap fallback for direct API calls outside one). The
+    // Per-segment quantized scratch, SoA and arena-backed. The
     // min/max and zigzag-max scans below are SIMD-dispatched; the
     // quantization itself (roundDiv) and the variable-width bit
     // pack stay scalar by design.
-    const std::size_t max_segment = layout.points_per_segment;
-    FrameArena *arena = currentFrameArena();
-    std::vector<std::int32_t> quantized_heap;
-    std::int32_t *quantized = nullptr;
-    if (arena != nullptr) {
-        quantized = arena->allocateArray<std::int32_t>(max_segment);
-    } else {
-        quantized_heap.resize(max_segment);
-        quantized = quantized_heap.data();
-    }
+    ScratchArena scratch;
+    std::int32_t *quantized = scratch.get().allocateArray<std::int32_t>(
+        layout.points_per_segment);
     for (std::uint32_t s = 0; s < layout.num_segments; ++s) {
         const std::size_t lo = layout.begin(s);
         const std::size_t hi = layout.end(s, n);

@@ -20,18 +20,6 @@ constexpr int kMaxDigitBits = 11;
  *  or below this many keys one part sorts everything. */
 constexpr std::size_t kPartKeys = std::size_t{1} << 15;
 
-/** `count` Ts of scratch: arena-backed inside a frame (zero heap
- *  traffic in steady state), a heap vector otherwise. */
-template <typename T>
-T *
-scratchArray(FrameArena *arena, std::vector<T> &heap, std::size_t count)
-{
-    if (arena != nullptr)
-        return arena->allocateArray<T>(count);
-    heap.resize(count);
-    return heap.data();
-}
-
 }  // namespace
 
 void
@@ -75,15 +63,13 @@ radixSortKeysValues(std::uint64_t *keys, std::uint32_t *values,
 
     // Scratch is carved on the calling thread: the arena binding is
     // thread-local and pool workers never allocate.
-    FrameArena *arena = currentFrameArena();
-    std::vector<std::uint64_t> key_heap;
-    std::vector<std::uint32_t> val_heap;
-    std::vector<std::size_t> count_heap;
-    std::uint64_t *dst_k = scratchArray(arena, key_heap, n);
-    std::uint32_t *dst_v = scratchArray(arena, val_heap, n);
+    ScratchArena scratch;
+    FrameArena &arena = scratch.get();
+    std::uint64_t *dst_k = arena.allocateArray<std::uint64_t>(n);
+    std::uint32_t *dst_v = arena.allocateArray<std::uint32_t>(n);
     // Row p holds part p's histogram, then its scatter cursors.
     std::size_t *counts =
-        scratchArray(arena, count_heap, parts * buckets);
+        arena.allocateArray<std::size_t>(parts * buckets);
 
     std::uint64_t *src_k = keys;
     std::uint32_t *src_v = values;
