@@ -471,9 +471,12 @@ class OccupancyByteSource
                 return nullptr;
             remaining_ -= count;
             auto *bytes = arena.allocateArray<std::uint8_t>(count);
-            for (std::size_t i = 0; i < count; ++i)
+            for (std::size_t i = 0; i < count; ++i) {
                 bytes[i] = coder_.decode(*decoder_, parent_bytes[i]);
-            return decoder_->overrun() ? nullptr : bytes;
+                if (decoder_->overrun())
+                    return nullptr;
+            }
+            return bytes;
         }
         if (header_->occupancy.size() - cursor_ < count)
             return nullptr;
