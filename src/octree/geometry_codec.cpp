@@ -609,7 +609,7 @@ struct LeafParents {
  * allocating the next level; then every part scatters its nodes'
  * child codes from its offset. Contextual streams decode each level's
  * bytes serially first, each node's parent byte coming from the
- * previous scatter. The leaves are scattered by dequantize().
+ * previous scatter. decodeGeometry scatters the leaves.
  */
 Expected<LeafParents>
 expandBreadthFirst(const ParsedHeader &header, FrameArena &arena)
@@ -792,18 +792,31 @@ class LeafTile
 };
 
 /**
- * Leaves to voxels on the output grid: Morton decode, then the
- * tight-bbox shift back, rejecting any voxel outside the grid. The
- * work splits into parts of `num_items` items; `fill(tile, lo, hi)`
- * pushes the leaf codes of items [lo, hi) into `tile`, in output
- * order from position `first(p)` for part p.
+ * The expanded tree's leaves to voxels on the output grid: records
+ * the expansion, then Morton-decodes with the tight-bbox shift back,
+ * rejecting any voxel outside the grid. The work splits into parts
+ * of `num_items` items; `fill(tile, lo, hi)` pushes the leaf codes of
+ * items [lo, hi), which land in the output from position `first(p)`
+ * for part p.
  */
 template <typename First, typename Fill>
 Expected<VoxelCloud>
-dequantize(const ParsedHeader &header, std::size_t num_leaves,
-           std::size_t num_items, const First &first, const Fill &fill,
-           bool parallel, WorkRecorder *recorder)
+leavesToCloud(const ParsedHeader &header, std::size_t num_leaves,
+              std::size_t num_items, const First &first, const Fill &fill,
+              WorkRecorder *recorder)
 {
+    const ExecResource resource = (header.flags & kFlagBuilderParallel)
+                                      ? ExecResource::kGpu
+                                      : ExecResource::kCpuSequential;
+    recordKernel(
+        recorder,
+        KernelWork{.name = "geomdec.expand",
+                   .resource = resource,
+                   .invocations = static_cast<std::uint64_t>(header.depth),
+                   .items = header.occupancy_size,
+                   .ops = header.occupancy_size * 10,
+                   .bytes = header.occupancy_size + num_leaves * 8});
+
     const bool tight = header.flags & kFlagTightBbox;
     // The output cloud lives on the original capture grid; the
     // coded tree may be shallower (cuboid-fitted).
@@ -826,77 +839,13 @@ dequantize(const ParsedHeader &header, std::size_t num_leaves,
     if (out_of_grid.load(std::memory_order_relaxed))
         return corruptBitstream(
             "geometry payload: decoded voxel outside grid");
-    recordKernel(recorder,
-                 KernelWork{.name = "geomdec.dequant",
-                            .resource = parallel
-                                            ? ExecResource::kGpu
-                                            : ExecResource::
-                                                  kCpuSequential,
-                            .invocations = 1,
-                            .items = num_leaves,
-                            .ops = num_leaves * 24,
-                            .bytes = num_leaves * 14});
+    recordKernel(recorder, KernelWork{.name = "geomdec.dequant",
+                                      .resource = resource,
+                                      .invocations = 1,
+                                      .items = num_leaves,
+                                      .ops = num_leaves * 24,
+                                      .bytes = num_leaves * 14});
     return cloud;
-}
-
-void
-recordExpand(WorkRecorder *recorder, const ParsedHeader &header,
-             std::size_t num_leaves, bool parallel)
-{
-    recordKernel(
-        recorder,
-        KernelWork{.name = "geomdec.expand",
-                   .resource = parallel ? ExecResource::kGpu
-                                        : ExecResource::kCpuSequential,
-                   .invocations = static_cast<std::uint64_t>(header.depth),
-                   .items = header.occupancy_size,
-                   .ops = header.occupancy_size * 10,
-                   .bytes = header.occupancy_size + num_leaves * 8});
-}
-
-/** The header's voxel count (0: not signalled) against the tree. */
-bool
-leafCountMatches(const ParsedHeader &header, std::size_t num_leaves)
-{
-    return header.num_voxels == 0 || header.num_voxels == num_leaves;
-}
-
-/** The parallel builder's leaves: scattered from their parents'
- *  bytes straight into the dequantizer. */
-Expected<VoxelCloud>
-dequantizeBreadthFirst(const ParsedHeader &header,
-                       const LeafParents &parents, WorkRecorder *recorder)
-{
-    return dequantize(
-        header, parents.num_leaves, parents.count,
-        [&](std::size_t p) { return parents.leaf_offsets[p]; },
-        [&](LeafTile &tile, std::size_t lo, std::size_t hi) {
-            for (std::size_t i = lo; i < hi; ++i) {
-                const std::uint64_t base = parents.codes[i] << 3;
-                for (unsigned bits = parents.bytes[i]; bits != 0;
-                     bits &= bits - 1) {
-                    tile.push(base | static_cast<std::uint64_t>(
-                                         std::countr_zero(bits)));
-                }
-            }
-        },
-        /*parallel=*/true, recorder);
-}
-
-/** The sequential builder's leaves, already expanded to codes. */
-Expected<VoxelCloud>
-dequantizeDepthFirst(const ParsedHeader &header,
-                     const std::vector<std::uint64_t> &leaves,
-                     WorkRecorder *recorder)
-{
-    return dequantize(
-        header, leaves.size(), leaves.size(),
-        [](std::size_t p) { return p * kPartKeys; },
-        [&](LeafTile &tile, std::size_t lo, std::size_t hi) {
-            for (std::size_t i = lo; i < hi; ++i)
-                tile.push(leaves[i]);
-        },
-        /*parallel=*/false, recorder);
 }
 
 }  // namespace
@@ -921,24 +870,48 @@ decodeGeometry(const std::vector<std::uint8_t> &payload,
                                         : 1u),
                             .bytes = payload.size()});
 
+    // A header that states a voxel count must match the tree.
+    const auto count_matches = [&](std::size_t num_leaves) {
+        return header->num_voxels == 0 ||
+               header->num_voxels == num_leaves;
+    };
     if (header->flags & kFlagBuilderParallel) {
         ScratchArena scratch;
         auto parents = expandBreadthFirst(*header, scratch.get());
         if (!parents)
             return parents.status();
-        recordExpand(recorder, *header, parents->num_leaves, true);
-        if (!leafCountMatches(*header, parents->num_leaves))
-            return corruptBitstream(
-                "geometry payload: voxel count mismatch");
-        return dequantizeBreadthFirst(*header, *parents, recorder);
+        EDGEPCC_CHECK_CORRUPT(count_matches(parents->num_leaves),
+                              "geometry payload: voxel count mismatch");
+        // The leaves go from their parents' bytes straight into the
+        // dequantizer; their codes are never stored.
+        return leavesToCloud(
+            *header, parents->num_leaves, parents->count,
+            [&](std::size_t p) { return parents->leaf_offsets[p]; },
+            [&](LeafTile &tile, std::size_t lo, std::size_t hi) {
+                for (std::size_t i = lo; i < hi; ++i) {
+                    const std::uint64_t base = parents->codes[i] << 3;
+                    for (unsigned bits = parents->bytes[i]; bits != 0;
+                         bits &= bits - 1) {
+                        tile.push(base | static_cast<std::uint64_t>(
+                                             std::countr_zero(bits)));
+                    }
+                }
+            },
+            recorder);
     }
     auto leaves = expandDepthFirst(*header);
     if (!leaves)
         return leaves.status();
-    recordExpand(recorder, *header, leaves->size(), false);
-    if (!leafCountMatches(*header, leaves->size()))
-        return corruptBitstream("geometry payload: voxel count mismatch");
-    return dequantizeDepthFirst(*header, *leaves, recorder);
+    EDGEPCC_CHECK_CORRUPT(count_matches(leaves->size()),
+                          "geometry payload: voxel count mismatch");
+    return leavesToCloud(
+        *header, leaves->size(), leaves->size(),
+        [](std::size_t p) { return p * kPartKeys; },
+        [&](LeafTile &tile, std::size_t lo, std::size_t hi) {
+            for (std::size_t i = lo; i < hi; ++i)
+                tile.push((*leaves)[i]);
+        },
+        recorder);
 }
 
 }  // namespace edgepcc
